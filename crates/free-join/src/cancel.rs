@@ -1,10 +1,10 @@
 //! Cooperative cancellation for in-flight query execution.
 //!
 //! A [`CancelToken`] is a shared handle that the executor polls at cheap,
-//! coarse boundaries (per cover entry on the serial path, per task/morsel and
-//! per batch flush on the parallel and vectorized paths). Nothing preempts a
-//! running probe; instead every probe path checks the token often enough that
-//! a fired token stops the query within a few batches.
+//! coarse boundaries: per cover entry and per batch flush in the one cover
+//! walk, and per task on the work-stealing path. Nothing preempts a running
+//! probe; instead the walk checks the token often enough that a fired token
+//! stops the query within a few batches.
 //!
 //! Three things can fire a token:
 //!

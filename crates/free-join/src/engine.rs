@@ -21,9 +21,7 @@
 use crate::cancel::CancelToken;
 use crate::compile::{compile, compile_query, CompiledPlan};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{
-    execute_pipeline_cancellable, execute_pipeline_parallel_cancellable, ExecCounters,
-};
+use crate::exec::{execute_pipeline_parallel_cancellable, ExecCounters};
 use crate::options::FreeJoinOptions;
 use crate::prep::{materialize_intermediate, prepare_inputs, BoundInput};
 use crate::sink::{MaterializeSink, OutputSink};
@@ -236,13 +234,13 @@ pub(crate) fn build_tries(
     tries
 }
 
-/// Run one compiled pipeline over its (possibly cache-shared) tries: serial
-/// when one thread is configured (the exact legacy path), under the
-/// work-stealing scheduler otherwise — root cover ranges seed the task
-/// injector, oversized expansions anywhere in the plan re-split, and the
-/// per-task sinks merge in deterministic path-key order. Final pipelines
-/// produce the query output; non-final pipelines materialize an
-/// intermediate relation (bushy plans).
+/// Run one compiled pipeline over its (possibly cache-shared) tries through
+/// [`execute_pipeline_parallel_cancellable`]: at one thread it walks the
+/// plan serially into a single sink; otherwise it runs the work-stealing
+/// scheduler — root cover ranges seed the task injector, oversized
+/// expansions anywhere in the plan re-split, and the per-task sinks merge in
+/// deterministic path-key order. Final pipelines produce the query output;
+/// non-final pipelines materialize an intermediate relation (bushy plans).
 ///
 /// Trie-building counters (`tries_built`, `lazy_expansions`) are *not*
 /// recorded here: with cached tries shared across queries the attribution
@@ -267,58 +265,42 @@ pub(crate) fn join_pipeline(
 ) -> EngineResult<PipelineResult> {
     let threads = options.effective_threads();
     let join_start = Instant::now();
+    // The per-task sinks come back in merge order. The first one absorbs the
+    // rest, so a single sink (always the case at one thread) is the result
+    // as is, without a copy into an empty sink.
     let result = if is_final {
         let builder =
             OutputBuilder::try_new(&query.head, query.aggregate.clone(), &compiled.binding_order)
                 .map_err(EngineError::Query)?;
-        let output = if threads > 1 {
-            let (sinks, counters) = execute_pipeline_parallel_cancellable(
-                tries,
-                compiled,
-                options,
-                threads,
-                || OutputSink::new(builder.clone()),
-                token,
-            );
-            absorb_counters(stats, counters, profile, traces);
-            let mut merged = OutputSink::new(builder);
-            for sink in sinks {
-                merged.merge(sink);
-            }
-            stats.result_chunks += merged.chunks_received();
-            merged.finish()
-        } else {
-            let mut sink = OutputSink::new(builder);
-            let counters = execute_pipeline_cancellable(tries, compiled, options, &mut sink, token);
-            absorb_counters(stats, counters, profile, traces);
-            stats.result_chunks += sink.chunks_received();
-            sink.finish()
-        };
-        PipelineResult::Output(output)
+        let make_sink = || OutputSink::new(builder.clone());
+        let (sinks, counters) = execute_pipeline_parallel_cancellable(
+            tries, compiled, options, threads, make_sink, token,
+        );
+        absorb_counters(stats, counters, profile, traces);
+        let merged = sinks.into_iter().reduce(|mut all, sink| {
+            all.merge(sink);
+            all
+        });
+        let merged = merged.unwrap_or_else(|| OutputSink::new(builder));
+        stats.result_chunks += merged.chunks_received();
+        PipelineResult::Output(merged.finish())
     } else {
-        let rows = if threads > 1 {
-            let (sinks, counters) = execute_pipeline_parallel_cancellable(
-                tries,
-                compiled,
-                options,
-                threads,
-                MaterializeSink::new,
-                token,
-            );
-            absorb_counters(stats, counters, profile, traces);
-            let mut merged = MaterializeSink::new();
-            for sink in sinks {
-                merged.merge(sink);
-            }
-            stats.result_chunks += merged.chunks_received();
-            merged.into_rows()
-        } else {
-            let mut sink = MaterializeSink::new();
-            let counters = execute_pipeline_cancellable(tries, compiled, options, &mut sink, token);
-            absorb_counters(stats, counters, profile, traces);
-            stats.result_chunks += sink.chunks_received();
-            sink.into_rows()
-        };
+        let (sinks, counters) = execute_pipeline_parallel_cancellable(
+            tries,
+            compiled,
+            options,
+            threads,
+            MaterializeSink::new,
+            token,
+        );
+        absorb_counters(stats, counters, profile, traces);
+        let merged = sinks.into_iter().reduce(|mut all, sink| {
+            all.merge(sink);
+            all
+        });
+        let merged = merged.unwrap_or_default();
+        stats.result_chunks += merged.chunks_received();
+        let rows = merged.into_rows();
         let name = format!("__fj_intermediate_{}", compiled.binding_order.join("_"));
         let bound = materialize_intermediate(&name, &compiled.binding_order, var_types, &rows)?;
         PipelineResult::Intermediate(bound)
@@ -445,7 +427,7 @@ mod tests {
         let plan = BinaryPlan::left_deep(&[1, 0, 2, 3]);
         let mut cardinalities = Vec::new();
         for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
-            for batch in [1usize, 4, 1000] {
+            for batch in [0usize, 1, 4, 1000] {
                 for dynamic in [false, true] {
                     for factorize in [false, true] {
                         let options = FreeJoinOptions {

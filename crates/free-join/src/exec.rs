@@ -8,9 +8,12 @@
 //!
 //! * **Dynamic cover selection** (Section 4.4): among the node's cover
 //!   candidates, iterate the one whose trie currently has the fewest keys.
-//! * **Vectorized execution** (Section 4.3, Figure 13): gather a batch of
-//!   iterated keys, run each probe over the whole batch, then recurse for
-//!   the survivors.
+//! * **Vectorized execution** (Section 4.3, Figure 13): there is one cover
+//!   walk and one probe kernel. Every node gathers up to
+//!   `FreeJoinOptions::batch_size` iterated cover entries, runs each probe
+//!   over the whole batch, then recurses for the survivors. Batch size 1 is
+//!   tuple-at-a-time execution — the same loop, not a separate one, which
+//!   is how the Figure 18 ablation treats it.
 //! * **Factorized output** (Section 4.4): when the remaining nodes are
 //!   independent expansions and the sink only needs counts, multiply subtree
 //!   sizes instead of enumerating the Cartesian product.
@@ -22,9 +25,9 @@
 //!   ([`TrieNode::key_bound`]) — smallest first, plan order as the
 //!   tie-break — so a miss on a tiny per-binding sub-trie skips (and never
 //!   lazily forces) a huge one. Bounds are fixed when tries are built, so
-//!   the decisions, results and counters are identical at any thread count
-//!   and steal schedule. When off, the static path runs exactly the legacy
-//!   loop behind one precomputed per-node mask check.
+//!   the decisions, results and counters are identical at any thread count,
+//!   steal schedule and batch size. When off, the probes run in plan order
+//!   behind one precomputed per-node mask check.
 //!
 //! Bag semantics are handled with a running weight: when an input's final
 //! subatom is probed (rather than iterated), the probe result stands for all
@@ -68,8 +71,8 @@
 //! `FreeJoinOptions::split_threshold` does not walk it alone: it pushes
 //! sub-range `Task`s onto its deque for idle workers to steal and moves
 //! on. Each task carries its binding prefix, trie positions and running
-//! weight, so `process_cover_entry`/`flush_batch` resume mid-plan exactly
-//! where the split happened.
+//! weight, so the cover walk resumes mid-plan exactly where the split
+//! happened.
 //!
 //! **Determinism.** Every task carries a dense *path key*: root tasks are
 //! keyed `[0] .. [k-1]` in root-range order, and a task's spawned children
@@ -80,11 +83,12 @@
 //! are merged, is identical at any thread count and any steal schedule.
 //! Probes may lazily force shared trie nodes from several workers at once —
 //! the trie's `OnceLock`-based forcing (see [`crate::trie`]) makes that
-//! race-free. The serial path (`num_threads == 1`) runs the identical
-//! single-threaded algorithm with one sink and one chunk buffer.
+//! race-free. The serial path (`num_threads == 1`) runs the same cover walk
+//! and probe kernel straight over the tries — no scheduler, no materialized
+//! root entries — with one sink and one chunk buffer.
 
 use crate::cancel::CancelToken;
-use crate::compile::{CompiledNode, CompiledPlan, CompiledSubatom, IterAction};
+use crate::compile::{CompiledNode, CompiledPlan, IterAction};
 use crate::options::FreeJoinOptions;
 use crate::sink::{ChunkBuffer, Sink};
 use crate::trie::{InputTrie, TrieNode};
@@ -92,6 +96,7 @@ use fj_obs::{ProfileSheet, TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY};
 use fj_query::CancelReason;
 use fj_storage::{LevelKey, Value};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -116,11 +121,11 @@ pub struct ExecCounters {
     /// `expansions` broken down by worker id. Empty on the serial path.
     pub worker_expansions: Vec<u64>,
     /// Cover-entry bindings whose adaptive probe order differed from the
-    /// static plan order (the vectorized path ranks once per flush and
-    /// charges the whole batch). Zero unless `FreeJoinOptions::adaptive` is
+    /// static plan order (the probe kernel ranks once per cover walk and
+    /// charges each flushed batch). Zero unless `FreeJoinOptions::adaptive` is
     /// set; deterministic — each binding is processed exactly once and the
     /// ranking depends only on construction-fixed trie bounds, so the count
-    /// is identical at any thread count or steal schedule.
+    /// is identical at any thread count, steal schedule or batch size.
     pub reorders: u64,
     /// Per-plan-node profile accumulators; disabled (empty, no allocation)
     /// unless `FreeJoinOptions::profile` is set.
@@ -148,6 +153,25 @@ pub struct ExecCounters {
 const CANCEL_POLL_PERIOD: u32 = 256;
 
 impl ExecCounters {
+    /// Fresh counters for one worker (`worker` 0 on the serial path): armed
+    /// with the query's cancel token, and with an enabled profile sheet and
+    /// trace ring only when the options ask for them.
+    fn for_worker(
+        plan: &CompiledPlan,
+        options: &FreeJoinOptions,
+        token: &CancelToken,
+        worker: u32,
+    ) -> Self {
+        let mut counters = ExecCounters { cancel: token.clone(), ..ExecCounters::default() };
+        if options.profile {
+            counters.profile = ProfileSheet::enabled(plan.nodes.len());
+        }
+        if options.trace {
+            counters.traces.push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, worker));
+        }
+        counters
+    }
+
     /// Accumulate another worker's counters.
     pub fn merge(&mut self, mut other: ExecCounters) {
         self.probes += other.probes;
@@ -199,7 +223,9 @@ impl ExecCounters {
 /// Reusable per-node scratch space. One instance exists per plan node and is
 /// reused by every invocation of that node, so the join loop performs no
 /// per-tuple heap allocation. Under parallel execution every worker owns a
-/// private set.
+/// private set. Every node's cover walk batches through these buffers;
+/// independent-tail nodes reuse `writes`/`weights` for their gathered
+/// expansion lists instead.
 #[derive(Debug, Default)]
 struct NodeScratch {
     /// Spill buffer for probe keys wider than the inline arity (arity ≤ 2
@@ -207,22 +233,48 @@ struct NodeScratch {
     spill_key: Vec<Value>,
     /// Saved trie positions to restore after a recursive call.
     saved: Vec<(usize, Arc<TrieNode>)>,
-    /// Vectorized batch: values bound by the cover (stride = new slots).
+    /// Batch: values bound by the cover (stride = new slots).
     writes: Vec<Value>,
-    /// Vectorized batch: accumulated weights.
+    /// Batch: accumulated weights.
     weights: Vec<u64>,
-    /// Vectorized batch: survived all probes so far?
+    /// Batch: survived all probes so far?
     alive: Vec<bool>,
-    /// Vectorized batch: child trie nodes per (entry, subatom) — flat, stride
-    /// = number of subatoms in the node. Only non-final subatoms use a slot.
+    /// Batch: child trie nodes per (entry, subatom) — flat, stride = number
+    /// of subatoms in the node. Only non-final subatoms use a slot.
     children: Vec<Option<Arc<TrieNode>>>,
     /// Number of entries currently buffered.
     count: usize,
-    /// Probe order for this node's non-cover subatoms (subatom indices).
-    /// The vectorized path fills it every flush (plan order unless adaptive
-    /// reordering kicks in); the scalar path touches it only under adaptive
-    /// execution.
+    /// Probe order for this node's non-cover subatoms (subatom indices),
+    /// filled once per cover walk: plan order unless adaptive reordering
+    /// kicks in.
     probe_order: Vec<usize>,
+    /// Does `probe_order` differ from plan order? Each flush then charges
+    /// its whole batch to `reorders`.
+    reordered: bool,
+}
+
+/// The state one walk of the plan threads through its recursion: the shared
+/// inputs, the worker's binding tuple, trie positions, counters, chunk buffer
+/// and sink, and — under the scheduler — the running task's split context.
+/// The serial path builds one for the whole pipeline; each parallel worker
+/// builds one per task.
+struct ExecCtx<'a> {
+    tries: &'a [Arc<InputTrie>],
+    plan: &'a CompiledPlan,
+    options: &'a FreeJoinOptions,
+    /// `options.batch_size` clamped to at least 1: a struct literal can say
+    /// 0, and the probe kernel needs room for one entry.
+    batch_size: usize,
+    /// Current binding, one slot per variable of the binding order.
+    tuple: &'a mut [Value],
+    /// Current trie position of every input.
+    current: &'a mut [Arc<TrieNode>],
+    sink: &'a mut dyn Sink,
+    counters: &'a mut ExecCounters,
+    out: &'a mut ChunkBuffer,
+    /// The running task's split context; `None` on the serial path, which
+    /// never splits.
+    split: Option<WorkerSplitter<'a>>,
 }
 
 /// Execute a compiled pipeline over its input tries, sending results to the
@@ -249,31 +301,24 @@ pub fn execute_pipeline_cancellable(
     token: &CancelToken,
 ) -> ExecCounters {
     debug_assert_eq!(tries.len(), plan.num_inputs);
-    let mut counters = ExecCounters { cancel: token.clone(), ..ExecCounters::default() };
-    if options.profile {
-        counters.profile = ProfileSheet::enabled(plan.nodes.len());
-    }
-    if options.trace {
-        counters.traces.push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, 0));
-    }
+    let mut counters = ExecCounters::for_worker(plan, options, token, 0);
     let mut tuple = vec![Value::Null; plan.binding_order.len()];
     let mut current: Vec<Arc<TrieNode>> = tries.iter().map(|t| t.root()).collect();
     let mut scratch: Vec<NodeScratch> = plan.nodes.iter().map(|_| NodeScratch::default()).collect();
     let mut out = ChunkBuffer::for_sink_metered(sink, plan.binding_order.len(), token.clone());
-    run_node(
+    let mut ctx = ExecCtx {
         tries,
         plan,
         options,
-        0,
-        &mut tuple,
-        &mut current,
-        1,
+        batch_size: options.batch_size.max(1),
+        tuple: &mut tuple,
+        current: &mut current,
         sink,
-        &mut counters,
-        &mut scratch,
-        &mut out,
-        &mut NoSplit,
-    );
+        counters: &mut counters,
+        out: &mut out,
+        split: None,
+    };
+    run_node(&mut ctx, 0, 1, &mut scratch);
     out.flush(sink);
     counters
 }
@@ -374,76 +419,6 @@ impl Scheduler {
     }
 }
 
-/// The split hook threaded through the recursive join. The serial path uses
-/// [`NoSplit`]; each parallel worker uses a [`WorkerSplitter`] scoped to the
-/// task it is running.
-trait Splitter {
-    /// Should a node expansion of `size` cover entries be cut into sub-range
-    /// tasks instead of walked by the current worker?
-    fn should_split(&self, size: usize) -> bool;
-    /// Should an independent-tail product (`first_len` first-list entries ×
-    /// `inner_count` inner combinations each) be cut into sub-range tasks?
-    fn should_split_tail(&self, first_len: usize, inner_count: u64) -> bool;
-    /// Spawn sub-range tasks over a node's materialized cover entries.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_entries(
-        &mut self,
-        node_idx: usize,
-        cover_idx: usize,
-        entries: Vec<(LevelKey, Arc<TrieNode>)>,
-        tuple: &[Value],
-        positions: &[Arc<TrieNode>],
-        weight: u64,
-    );
-    /// Spawn sub-range tasks over an independent tail's first expansion list.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_tail(
-        &mut self,
-        node_idx: usize,
-        writes: Vec<Value>,
-        weights: Vec<u64>,
-        inner_count: u64,
-        tuple: &[Value],
-        positions: &[Arc<TrieNode>],
-        weight: u64,
-    );
-}
-
-/// Serial execution: never split.
-struct NoSplit;
-
-impl Splitter for NoSplit {
-    fn should_split(&self, _size: usize) -> bool {
-        false
-    }
-    fn should_split_tail(&self, _first_len: usize, _inner_count: u64) -> bool {
-        false
-    }
-    fn spawn_entries(
-        &mut self,
-        _node_idx: usize,
-        _cover_idx: usize,
-        _entries: Vec<(LevelKey, Arc<TrieNode>)>,
-        _tuple: &[Value],
-        _positions: &[Arc<TrieNode>],
-        _weight: u64,
-    ) {
-        unreachable!("NoSplit never asks to split")
-    }
-    fn spawn_tail(
-        &mut self,
-        _node_idx: usize,
-        _writes: Vec<Value>,
-        _weights: Vec<u64>,
-        _inner_count: u64,
-        _tuple: &[Value],
-        _positions: &[Arc<TrieNode>],
-        _weight: u64,
-    ) {
-        unreachable!("NoSplit never asks to split")
-    }
-}
-
 /// Per-task split context of one parallel worker. Child tasks extend the
 /// running task's path key with a counter assigned in expansion order, which
 /// is what makes the task tree — and the merge order — schedule-independent.
@@ -455,38 +430,14 @@ struct WorkerSplitter<'a> {
 }
 
 impl WorkerSplitter<'_> {
-    fn child_path(&mut self) -> Vec<u32> {
-        let mut path = Vec::with_capacity(self.path.len() + 1);
-        path.extend_from_slice(self.path);
-        path.push(self.next_child);
-        self.next_child += 1;
-        path
-    }
-
-    fn spawn_ranges(
-        &mut self,
-        total: usize,
-        chunk: usize,
-        mut make: impl FnMut(&mut Self, usize, usize) -> Task,
-    ) {
-        let chunk = chunk.max(1);
-        let mut tasks = Vec::with_capacity(total.div_ceil(chunk));
-        let mut lo = 0;
-        while lo < total {
-            let hi = (lo + chunk).min(total);
-            let task = make(self, lo, hi);
-            tasks.push(task);
-            lo = hi;
-        }
-        self.sched.push_tasks(self.worker, tasks);
-    }
-}
-
-impl Splitter for WorkerSplitter<'_> {
+    /// Should a node expansion of `size` cover entries be cut into sub-range
+    /// tasks instead of walked by the current worker?
     fn should_split(&self, size: usize) -> bool {
         self.sched.steal && size >= self.sched.split_threshold
     }
 
+    /// Should an independent-tail product (`first_len` first-list entries ×
+    /// `inner_count` inner combinations each) be cut into sub-range tasks?
     fn should_split_tail(&self, first_len: usize, inner_count: u64) -> bool {
         self.sched.steal
             && first_len >= 2
@@ -494,60 +445,52 @@ impl Splitter for WorkerSplitter<'_> {
                 >= self.sched.split_threshold as u64
     }
 
-    fn spawn_entries(
+    fn child_path(&mut self) -> Vec<u32> {
+        let mut path = Vec::with_capacity(self.path.len() + 1);
+        path.extend_from_slice(self.path);
+        path.push(self.next_child);
+        self.next_child += 1;
+        path
+    }
+}
+
+impl ExecCtx<'_> {
+    /// Hand `total` items of the expansion at `node_idx` to the scheduler as
+    /// child tasks of `chunk` items each, resuming from the current binding
+    /// prefix, trie positions and `weight`. Only called once the running
+    /// task's splitter agreed to split.
+    fn spawn(
         &mut self,
         node_idx: usize,
-        cover_idx: usize,
-        entries: Vec<(LevelKey, Arc<TrieNode>)>,
-        tuple: &[Value],
-        positions: &[Arc<TrieNode>],
         weight: u64,
+        total: usize,
+        chunk: usize,
+        items: impl Fn(usize, usize) -> TaskItems,
     ) {
-        let total = entries.len();
-        // Balanced chunks of at most `split_threshold` entries: sub-tasks
-        // stay below the threshold themselves, and the chunking depends only
-        // on the expansion size, never on the thread count.
-        let chunks = total.div_ceil(self.sched.split_threshold);
-        let chunk = total.div_ceil(chunks.max(1));
-        let entries = Arc::new(entries);
-        self.spawn_ranges(total, chunk, |this, lo, hi| Task {
-            path: this.child_path(),
-            node_idx,
-            items: TaskItems::Entries { cover_idx, entries: entries.clone(), lo, hi },
-            tuple: tuple.to_vec(),
-            positions: positions.to_vec(),
-            weight,
-            spawner: this.worker,
-        });
+        if let Some(tb) = self.counters.traces.last_mut() {
+            tb.instant(TraceCat::Split, node_idx as u32, total as u64, &[]);
+        }
+        let split = self.split.as_mut().expect("only scheduler tasks split");
+        let chunk = chunk.max(1);
+        let mut tasks = Vec::with_capacity(total.div_ceil(chunk));
+        for lo in (0..total).step_by(chunk) {
+            tasks.push(Task {
+                path: split.child_path(),
+                node_idx,
+                items: items(lo, (lo + chunk).min(total)),
+                tuple: self.tuple.to_vec(),
+                positions: self.current.to_vec(),
+                weight,
+                spawner: split.worker,
+            });
+        }
+        split.sched.push_tasks(split.worker, tasks);
     }
 
-    fn spawn_tail(
-        &mut self,
-        node_idx: usize,
-        writes: Vec<Value>,
-        weights: Vec<u64>,
-        inner_count: u64,
-        tuple: &[Value],
-        positions: &[Arc<TrieNode>],
-        weight: u64,
-    ) {
-        let total = weights.len();
-        // Chunk so each sub-task emits about `split_threshold` product rows:
-        // a single hot first-list entry over a huge inner product gets a task
-        // of its own, while cheap entries batch up.
-        let per_entry = inner_count.max(1);
-        let chunk = ((self.sched.split_threshold as u64 / per_entry) as usize).max(1);
-        let writes = Arc::new(writes);
-        let weights = Arc::new(weights);
-        self.spawn_ranges(total, chunk, |this, lo, hi| Task {
-            path: this.child_path(),
-            node_idx,
-            items: TaskItems::Tail { writes: writes.clone(), weights: weights.clone(), lo, hi },
-            tuple: tuple.to_vec(),
-            positions: positions.to_vec(),
-            weight,
-            spawner: this.worker,
-        });
+    /// The split threshold, if the running task's splitter accepts
+    /// `decide`; `None` on the serial path or when it declines.
+    fn split_if(&self, decide: impl FnOnce(&WorkerSplitter<'_>) -> bool) -> Option<usize> {
+        self.split.as_ref().filter(|s| decide(s)).map(|s| s.sched.split_threshold)
     }
 }
 
@@ -715,17 +658,7 @@ where
                 let mut current: Vec<Arc<TrieNode>> = roots.clone();
                 let mut scratch: Vec<NodeScratch> =
                     plan.nodes.iter().map(|_| NodeScratch::default()).collect();
-                let mut counters =
-                    ExecCounters { cancel: token.clone(), ..ExecCounters::default() };
-                if options.profile {
-                    counters.profile = ProfileSheet::enabled(plan.nodes.len());
-                }
-                if options.trace {
-                    counters
-                        .traces
-                        .push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, id as u32));
-                }
-                let mut key_buf: Vec<Value> = Vec::new();
+                let mut counters = ExecCounters::for_worker(plan, options, token, id as u32);
                 loop {
                     let Some(task) = sched.find_task(id) else {
                         if sched.pending.load(Ordering::Acquire) == 0 {
@@ -761,24 +694,24 @@ where
                         plan.binding_order.len(),
                         token.clone(),
                     );
-                    {
-                        let mut splitter =
-                            WorkerSplitter { sched, worker: id, path: &task.path, next_child: 0 };
-                        run_task(
-                            tries,
-                            plan,
-                            options,
-                            &task,
-                            &mut tuple,
-                            &mut current,
-                            &mut scratch,
-                            &mut key_buf,
-                            &mut sink,
-                            &mut counters,
-                            &mut out,
-                            &mut splitter,
-                        );
-                    }
+                    let mut ctx = ExecCtx {
+                        tries,
+                        plan,
+                        options,
+                        batch_size: options.batch_size.max(1),
+                        tuple: &mut tuple,
+                        current: &mut current,
+                        sink: &mut sink,
+                        counters: &mut counters,
+                        out: &mut out,
+                        split: Some(WorkerSplitter {
+                            sched,
+                            worker: id,
+                            path: &task.path,
+                            next_child: 0,
+                        }),
+                    };
+                    run_task(&mut ctx, &task, &mut scratch);
                     out.flush(&mut sink);
                     if let Some(tb) = counters.traces.last_mut() {
                         tb.end(TraceCat::Task, task.node_idx as u32, sink.tuples());
@@ -793,18 +726,12 @@ where
                     }
                     sched.pending.fetch_sub(1, Ordering::AcqRel);
                 }
-                let mut all = total_counters.lock().expect("no poisoned counters");
-                all.probes += counters.probes;
-                all.probe_hits += counters.probe_hits;
-                all.tasks_stolen += counters.tasks_stolen;
-                all.expansions += counters.expansions;
-                all.reorders += counters.reorders;
-                all.profile.merge(&counters.profile);
-                all.traces.append(&mut counters.traces);
-                if all.worker_expansions.len() < num_threads {
-                    all.worker_expansions.resize(num_threads, 0);
-                }
-                all.worker_expansions[id] += counters.expansions;
+                // Fold through `merge`, so every additive field — including
+                // ones added later — reaches the total.
+                let mut share = vec![0; num_threads];
+                share[id] = counters.expansions;
+                counters.worker_expansions = share;
+                total_counters.lock().expect("no poisoned counters").merge(counters);
             });
         }
     });
@@ -822,181 +749,30 @@ where
 }
 
 /// Execute one scheduler task: restore its binding prefix, trie positions
-/// and weight, then walk its item range — cover entries through
-/// `process_cover_entry`/`flush_batch` (which recurse into the rest of the
-/// plan and may split again, deeper), or an independent-tail slice through
-/// [`run_tail_range`].
-#[allow(clippy::too_many_arguments)]
-fn run_task(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    task: &Task,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
-    scratch: &mut [NodeScratch],
-    key_buf: &mut Vec<Value>,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
-) {
+/// and weight, then walk its item range — cover entries or base rows through
+/// [`walk_cover`] (which recurses into the rest of the plan and may split
+/// again, deeper), or an independent-tail slice through [`run_tail_range`].
+fn run_task(ctx: &mut ExecCtx, task: &Task, scratch: &mut [NodeScratch]) {
     // Chaos failpoint: an injected panic here unwinds out of a worker thread
     // mid-join — the serve layer's catch_unwind isolation (and the scoped
     // executor's teardown) must both survive it. Disarmed cost: one relaxed
     // load per task, not per tuple.
     let _ = fj_obs::chaos::should_fail("exec.task");
-    tuple.clear();
-    tuple.extend_from_slice(&task.tuple);
-    current.clear();
-    current.extend_from_slice(&task.positions);
-    let node_idx = task.node_idx;
-    let weight = task.weight;
-
-    if let TaskItems::Tail { writes, weights, lo, hi } = &task.items {
-        run_tail_range(
-            tries,
-            plan,
-            node_idx,
-            tuple,
-            current,
-            weight,
-            writes,
-            weights,
-            *lo,
-            *hi,
-            sink,
-            counters,
-            &mut scratch[node_idx..],
-            out,
-        );
-        return;
-    }
-
-    let node = &plan.nodes[node_idx];
-    let (cover_idx, lo, hi) = match &task.items {
-        TaskItems::Entries { cover_idx, lo, hi, .. } => (*cover_idx, *lo, *hi),
-        TaskItems::Rows { cover_idx, lo, hi } => (*cover_idx, *lo, *hi),
-        TaskItems::Tail { .. } => unreachable!("handled above"),
-    };
-    let cover = &node.subatoms[cover_idx];
-    let cover_trie = &tries[cover.input];
-    let t0 = counters.profile.is_enabled().then(Instant::now);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.begin(TraceCat::Node, node_idx as u32, (hi - lo) as u64, &task.path);
-    }
-
-    if options.vectorized() && node.subatoms.len() > 1 {
-        // Mirror run_node's choice: batch this node's probes too.
-        let scratch = &mut scratch[node_idx..];
-        let (mine, rest) = scratch.split_at_mut(1);
-        let mine = &mut mine[0];
-        ensure_batch_buffers(mine, options.batch_size, node);
-        mine.count = 0;
-        match &task.items {
-            TaskItems::Entries { entries, .. } => {
-                for (key, child) in &entries[lo..hi] {
-                    if counters.check_cancel() {
-                        break;
-                    }
-                    counters.expansions += 1;
-                    counters.profile.add_expansions(node_idx, 1);
-                    buffer_cover_entry(
-                        node,
-                        cover_idx,
-                        cover_trie,
-                        key.values(),
-                        Some(child),
-                        tuple,
-                        weight,
-                        mine,
-                    );
-                    if mine.count >= options.batch_size {
-                        flush_batch(
-                            tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current,
-                            sink, counters, out, splitter,
-                        );
-                    }
-                }
-            }
-            TaskItems::Rows { .. } => {
-                for offset in lo..hi {
-                    if counters.check_cancel() {
-                        break;
-                    }
-                    cover_trie.read_key_into(cover.level, offset as u32, key_buf);
-                    counters.expansions += 1;
-                    counters.profile.add_expansions(node_idx, 1);
-                    buffer_cover_entry(
-                        node, cover_idx, cover_trie, key_buf, None, tuple, weight, mine,
-                    );
-                    if mine.count >= options.batch_size {
-                        flush_batch(
-                            tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current,
-                            sink, counters, out, splitter,
-                        );
-                    }
-                }
-            }
-            TaskItems::Tail { .. } => unreachable!("handled above"),
+    ctx.tuple.copy_from_slice(&task.tuple);
+    ctx.current.clone_from_slice(&task.positions);
+    let (node, weight, path) = (task.node_idx, task.weight, &task.path);
+    let scratch = &mut scratch[node..];
+    match &task.items {
+        TaskItems::Tail { writes, weights, lo, hi } => {
+            run_tail_range(ctx, node, weight, writes, weights, *lo..*hi, scratch)
         }
-        flush_batch(
-            tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink, counters,
-            out, splitter,
-        );
-    } else {
-        match &task.items {
-            TaskItems::Entries { entries, .. } => {
-                for (key, child) in &entries[lo..hi] {
-                    process_cover_entry(
-                        tries,
-                        plan,
-                        options,
-                        node_idx,
-                        cover_idx,
-                        key.values(),
-                        Some(child),
-                        tuple,
-                        current,
-                        weight,
-                        sink,
-                        counters,
-                        &mut scratch[node_idx..],
-                        out,
-                        splitter,
-                    );
-                }
-            }
-            TaskItems::Rows { .. } => {
-                for offset in lo..hi {
-                    cover_trie.read_key_into(cover.level, offset as u32, key_buf);
-                    process_cover_entry(
-                        tries,
-                        plan,
-                        options,
-                        node_idx,
-                        cover_idx,
-                        key_buf,
-                        None,
-                        tuple,
-                        current,
-                        weight,
-                        sink,
-                        counters,
-                        &mut scratch[node_idx..],
-                        out,
-                        splitter,
-                    );
-                }
-            }
-            TaskItems::Tail { .. } => unreachable!("handled above"),
+        TaskItems::Entries { cover_idx, entries, lo, hi } => {
+            let source = CoverSource::Entries(&entries[*lo..*hi]);
+            walk_cover(ctx, node, *cover_idx, weight, source, path, scratch)
         }
-    }
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, counters.expansions);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
+        TaskItems::Rows { cover_idx, lo, hi } => {
+            walk_cover(ctx, node, *cover_idx, weight, CoverSource::Rows(*lo..*hi), path, scratch)
+        }
     }
 }
 
@@ -1036,51 +812,38 @@ fn select_cover(
 
 /// The recursive join (Figure 7), one invocation per plan node. `scratch`
 /// holds the scratch space of this node and every following node
-/// (`scratch[0]` belongs to `node_idx`); `out` is the worker's chunk buffer,
-/// where every result emission of this invocation lands.
-#[allow(clippy::too_many_arguments)]
-fn run_node(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
-) {
-    if counters.check_cancel() {
+/// (`scratch[0]` belongs to `node_idx`); every result emission of this
+/// invocation lands in the context's chunk buffer.
+fn run_node(ctx: &mut ExecCtx, node_idx: usize, weight: u64, scratch: &mut [NodeScratch]) {
+    if ctx.counters.check_cancel() {
         return;
     }
+    let (tries, plan) = (ctx.tries, ctx.plan);
     if node_idx == plan.nodes.len() {
-        out.push(sink, tuple, weight);
+        ctx.out.push(ctx.sink, ctx.tuple, weight);
         return;
     }
     let node = &plan.nodes[node_idx];
 
     // Factorized output: the rest of the plan is a Cartesian product of
     // independent expansions and the sink only needs counts — multiply sizes.
-    if options.factorize_output
+    if ctx.options.factorize_output
         && node.independent_tail
-        && sink.accepts_factorized(node.bound_before)
+        && ctx.sink.accepts_factorized(node.bound_before)
     {
         let mut total = weight;
         for (d, tail) in plan.nodes[node_idx..].iter().enumerate() {
             let sub = &tail.subatoms[0];
-            total = total.saturating_mul(tries[sub.input].tuple_count(&current[sub.input]));
+            total = total.saturating_mul(tries[sub.input].tuple_count(&ctx.current[sub.input]));
             // The running product is exactly the rows the skipped node would
             // have produced; record it so the profile's actuals match the
             // enumerating paths.
-            counters.profile.add_output_rows(node_idx + d, total);
+            ctx.counters.profile.add_output_rows(node_idx + d, total);
         }
         // A partial tuple: every slot the sink projects is within
         // `bound_before` (that is what `accepts_factorized` checked), so the
         // chunk buffer reads only bound slots.
-        out.push(sink, tuple, total);
+        ctx.out.push(ctx.sink, ctx.tuple, total);
         return;
     }
 
@@ -1088,14 +851,13 @@ fn run_node(
     // Cartesian product of independent expansions: emit it straight into the
     // chunk columns instead of recursing per combination.
     if node.independent_tail {
-        expand_independent_tail(
-            tries, plan, node_idx, tuple, current, weight, sink, counters, scratch, out, splitter,
-        );
+        expand_independent_tail(ctx, node_idx, weight, scratch);
         return;
     }
 
-    let cover_idx = select_cover(tries, node, current, options);
+    let cover_idx = select_cover(tries, node, ctx.current, ctx.options);
     let cover = &node.subatoms[cover_idx];
+    let cover_trie = &tries[cover.input];
 
     // The split point: an expansion at least `split_threshold` wide (the
     // level-map size, read in O(1)) is handed to the scheduler as sub-range
@@ -1103,29 +865,110 @@ fn run_node(
     // hot key's subtree fan out over every idle worker. The decision depends
     // only on trie sizes and options, keeping the task tree (and the merge
     // order) schedule-independent.
-    if splitter.should_split(tries[cover.input].estimated_keys(&current[cover.input])) {
-        let cover_trie = &tries[cover.input];
-        let cover_node = current[cover.input].clone();
+    let size = || cover_trie.estimated_keys(&ctx.current[cover.input]);
+    if let Some(threshold) = ctx.split_if(|s| s.should_split(size())) {
+        let cover_node = ctx.current[cover.input].clone();
         let map = cover_trie.force(&cover_node, cover.level, !cover_node.is_map());
-        let entries: Vec<(LevelKey, Arc<TrieNode>)> =
-            map.iter().map(|(k, c)| (k.clone(), c.clone())).collect();
-        if let Some(tb) = counters.traces.last_mut() {
-            tb.instant(TraceCat::Split, node_idx as u32, entries.len() as u64, &[]);
-        }
-        splitter.spawn_entries(node_idx, cover_idx, entries, tuple, current, weight);
+        let entries: EntryList =
+            Arc::new(map.iter().map(|(k, c)| (k.clone(), c.clone())).collect());
+        // Balanced chunks of at most `split_threshold` entries: sub-tasks
+        // stay below the threshold themselves, and the chunking depends only
+        // on the expansion size, never on the thread count.
+        let total = entries.len();
+        let chunk = total.div_ceil(total.div_ceil(threshold).max(1));
+        ctx.spawn(node_idx, weight, total, chunk, |lo, hi| TaskItems::Entries {
+            cover_idx,
+            entries: entries.clone(),
+            lo,
+            hi,
+        });
         return;
     }
+    walk_cover(ctx, node_idx, cover_idx, weight, CoverSource::Level, &[], scratch);
+}
 
-    if options.vectorized() && node.subatoms.len() > 1 {
-        run_node_vectorized(
-            tries, plan, options, node_idx, cover_idx, tuple, current, weight, sink, counters,
-            scratch, out, splitter,
-        );
-    } else {
-        run_node_scalar(
-            tries, plan, options, node_idx, cover_idx, tuple, current, weight, sink, counters,
-            scratch, out, splitter,
-        );
+/// Where one cover walk's entries come from.
+enum CoverSource<'e> {
+    /// The cover's current trie level, walked with [`InputTrie::for_each`]
+    /// (the serial recursion, and every node below a task's first).
+    Level,
+    /// A slice of materialized cover-map entries (a split sub-range task).
+    Entries(&'e [(LevelKey, Arc<TrieNode>)]),
+    /// A range of base-table rows of an unforced last level (a root task on
+    /// the COLT fast path).
+    Rows(Range<usize>),
+}
+
+/// The cover walk (Figure 13): buffer every cover entry `source` yields,
+/// flush each full batch through the probe kernel ([`flush_batch`], which
+/// recurses for the survivors), flush the remainder, and record the node's
+/// trace span and profile wall time. `path` tags the span (a task's path key
+/// for a task's first node, empty otherwise).
+fn walk_cover(
+    ctx: &mut ExecCtx,
+    node_idx: usize,
+    cover_idx: usize,
+    weight: u64,
+    source: CoverSource,
+    path: &[u32],
+    scratch: &mut [NodeScratch],
+) {
+    let (tries, plan) = (ctx.tries, ctx.plan);
+    let node = &plan.nodes[node_idx];
+    let cover = &node.subatoms[cover_idx];
+    let cover_trie = &tries[cover.input];
+    let t0 = ctx.counters.profile.is_enabled().then(Instant::now);
+    if let Some(tb) = ctx.counters.traces.last_mut() {
+        let span = match &source {
+            CoverSource::Level => 0,
+            CoverSource::Entries(entries) => entries.len() as u64,
+            CoverSource::Rows(rows) => rows.len() as u64,
+        };
+        tb.begin(TraceCat::Node, node_idx as u32, span, path);
+    }
+
+    let (mine, rest) = scratch.split_at_mut(1);
+    let mine = &mut mine[0];
+    ensure_batch_buffers(mine, ctx.batch_size, node);
+    order_probes(ctx, node, cover_idx, mine);
+    mine.count = 0;
+    let mut visit = |ctx: &mut ExecCtx, key: &[Value], child: Option<&Arc<TrieNode>>| {
+        // The per-cover-entry cancellation boundary, checked before
+        // buffering: once cancelled, `flush_batch` refuses to drain, so
+        // appending again would overrun the batch buffers.
+        if ctx.counters.check_cancel() {
+            return;
+        }
+        ctx.counters.expansions += 1;
+        ctx.counters.profile.add_expansions(node_idx, 1);
+        buffer_cover_entry(ctx, node, cover_idx, key, child, weight, mine);
+        if mine.count >= ctx.batch_size {
+            flush_batch(ctx, node_idx, mine, rest);
+        }
+    };
+    match source {
+        CoverSource::Level => {
+            let cover_node = ctx.current[cover.input].clone();
+            cover_trie.for_each(&cover_node, cover.level, |key, child| visit(ctx, key, child));
+        }
+        CoverSource::Entries(entries) => {
+            for (key, child) in entries {
+                visit(ctx, key.values(), Some(child));
+            }
+        }
+        CoverSource::Rows(rows) => {
+            let rows = rows.start as u32..rows.end as u32;
+            cover_trie
+                .for_each_row_key(cover.level, rows, &mut |key, child| visit(ctx, key, child));
+        }
+    }
+    flush_batch(ctx, node_idx, mine, rest);
+
+    if let Some(tb) = ctx.counters.traces.last_mut() {
+        tb.end(TraceCat::Node, node_idx as u32, 0);
+    }
+    if let Some(t0) = t0 {
+        ctx.counters.profile.add_wall(node_idx, t0.elapsed());
     }
 }
 
@@ -1139,32 +982,24 @@ fn run_node(
 /// exactly the recursive walk's, and tail nodes perform no probes in either
 /// form, so results and counters are unchanged — only the per-combination
 /// trie iteration and recursion are gone.
-#[allow(clippy::too_many_arguments)]
 fn expand_independent_tail(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
+    ctx: &mut ExecCtx,
     node_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &[Arc<TrieNode>],
     weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
     scratch: &mut [NodeScratch],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
 ) {
     // Gather phase: one trie walk per inner tail node, reusing the node's
-    // (otherwise unused — single-subatom nodes never batch) scratch vectors.
+    // scratch vectors (inner tail nodes never run the cover walk).
+    let (tries, plan) = (ctx.tries, ctx.plan);
     let inner = &plan.nodes[node_idx + 1..];
-    if !gather_tail_lists(tries, inner, current, scratch) {
+    if !gather_tail_lists(tries, inner, ctx.current, scratch) {
         return; // an empty factor annihilates the whole product
     }
 
     let node = &plan.nodes[node_idx];
     let sub = &node.subatoms[0];
     let trie = &tries[sub.input];
-    let node_cur = current[sub.input].clone();
-    let t0 = counters.profile.is_enabled().then(Instant::now);
+    let node_cur = ctx.current[sub.input].clone();
     let gathered = &scratch[1..1 + inner.len()];
     // Product rows per first-list entry; `expansions` counts emitted rows so
     // skew inside the product (not just wide first lists) is visible to the
@@ -1177,84 +1012,91 @@ fn expand_independent_tail(
     // decides, so a single hot join key whose output is one giant Cartesian
     // product fans out across workers by first-list sub-ranges.
     let first_len = trie.estimated_keys(&node_cur);
-    if splitter.should_split_tail(first_len, inner_count) {
+    if let Some(threshold) = ctx.split_if(|s| s.should_split_tail(first_len, inner_count)) {
         let stride = node.bound_after - node.bound_before;
         let mut writes: Vec<Value> = Vec::with_capacity(first_len * stride);
         let mut weights: Vec<u64> = Vec::with_capacity(first_len);
         trie.for_each(&node_cur, sub.level, |key, child| {
             let base = writes.len();
             writes.resize(base + stride, Value::Null);
-            for action in &sub.iter_actions {
-                let IterAction::Write { key_pos, slot } = *action else {
-                    unreachable!("independent-tail covers bind only new variables");
-                };
-                writes[base + (slot - node.bound_before)] = key[key_pos];
-            }
+            write_tail_entry(node, key, &mut writes[base..]);
             weights.push(child.map_or(1, |c| trie.tuple_count(c)));
         });
-        if let Some(tb) = counters.traces.last_mut() {
-            tb.instant(TraceCat::Split, node_idx as u32, weights.len() as u64, &[]);
-        }
-        splitter.spawn_tail(node_idx, writes, weights, inner_count, tuple, current, weight);
+        // Chunk so each sub-task emits about `split_threshold` product rows:
+        // a single hot first-list entry over a huge inner product gets a task
+        // of its own, while cheap entries batch up.
+        let chunk = (threshold as u64 / inner_count.max(1)) as usize;
+        let (writes, weights) = (Arc::new(writes), Arc::new(weights));
+        ctx.spawn(node_idx, weight, weights.len(), chunk, |lo, hi| TaskItems::Tail {
+            writes: writes.clone(),
+            weights: weights.clone(),
+            lo,
+            hi,
+        });
         return;
     }
 
     // Stream the first tail node's cover; per entry, emit the product of the
     // gathered inner columns.
-    if let Some(tb) = counters.traces.last_mut() {
+    let t0 = ctx.counters.profile.is_enabled().then(Instant::now);
+    if let Some(tb) = ctx.counters.traces.last_mut() {
         tb.begin(TraceCat::Node, node_idx as u32, inner_count, &[]);
     }
     let mut first_sum: u64 = 0;
     trie.for_each(&node_cur, sub.level, |key, child| {
-        if counters.check_cancel() {
+        if ctx.counters.check_cancel() {
             return;
         }
-        counters.expansions += inner_count.max(1);
-        counters.profile.add_expansions(node_idx, inner_count.max(1));
-        for action in &sub.iter_actions {
-            let IterAction::Write { key_pos, slot } = *action else {
-                unreachable!("independent-tail covers bind only new variables");
-            };
-            tuple[slot] = key[key_pos];
-        }
+        ctx.counters.expansions += inner_count.max(1);
+        ctx.counters.profile.add_expansions(node_idx, inner_count.max(1));
+        write_tail_entry(node, key, &mut ctx.tuple[node.bound_before..node.bound_after]);
         let w = child.map_or(weight, |c| weight.saturating_mul(trie.tuple_count(c)));
         first_sum = first_sum.saturating_add(w);
-        if inner.is_empty() {
-            out.push(sink, tuple, w);
-        } else {
-            emit_product(inner, gathered, 0, tuple, w, sink, counters, out);
-        }
+        emit_product(ctx, inner, gathered, 0, w);
     });
-    profile_tail_rows(&mut counters.profile, node_idx, first_sum, gathered);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, first_sum);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
+    finish_tail_span(ctx, node_idx, first_sum, gathered, t0);
+}
+
+/// Write an independent-tail cover key into `dst`, the node's new-slot
+/// range (slot `node.bound_before` is `dst[0]`).
+fn write_tail_entry(node: &CompiledNode, key: &[Value], dst: &mut [Value]) {
+    for action in &node.subatoms[0].iter_actions {
+        let IterAction::Write { key_pos, slot } = *action else {
+            unreachable!("independent-tail covers bind only new variables");
+        };
+        dst[slot - node.bound_before] = key[key_pos];
     }
 }
 
-/// Attribute an independent tail's output rows to its nodes arithmetically:
-/// the first tail node produced `first_sum` weighted rows, and each inner
-/// node multiplies that by its gathered list's weight total — the same
-/// cumulative products the enumeration emits, without touching the per-row
-/// hot loop. A slice of the first list contributes its slice sum, so
-/// partitioned tail tasks add up to exactly the serial attribution.
-fn profile_tail_rows(
-    profile: &mut ProfileSheet,
+/// Close an independent tail's node span: attribute its output rows to the
+/// tail's nodes arithmetically — the first tail node produced `first_sum`
+/// weighted rows, and each inner node multiplies that by its gathered list's
+/// weight total, the same cumulative products the enumeration emits, without
+/// touching the per-row hot loop (a slice of the first list contributes its
+/// slice sum, so partitioned tail tasks add up to exactly the serial
+/// attribution) — then end the trace span and record the wall time.
+fn finish_tail_span(
+    ctx: &mut ExecCtx,
     node_idx: usize,
     first_sum: u64,
     gathered: &[NodeScratch],
+    t0: Option<Instant>,
 ) {
-    if !profile.is_enabled() {
-        return;
+    let profile = &mut ctx.counters.profile;
+    if profile.is_enabled() {
+        profile.add_output_rows(node_idx, first_sum);
+        let mut running = first_sum;
+        for (d, list) in gathered.iter().enumerate() {
+            let list_sum = list.weights.iter().fold(0u64, |acc, &w| acc.saturating_add(w));
+            running = running.saturating_mul(list_sum);
+            profile.add_output_rows(node_idx + 1 + d, running);
+        }
     }
-    profile.add_output_rows(node_idx, first_sum);
-    let mut running = first_sum;
-    for (d, list) in gathered.iter().enumerate() {
-        let list_sum = list.weights.iter().fold(0u64, |acc, &w| acc.saturating_add(w));
-        running = running.saturating_mul(list_sum);
-        profile.add_output_rows(node_idx + 1 + d, running);
+    if let Some(tb) = ctx.counters.traces.last_mut() {
+        tb.end(TraceCat::Node, node_idx as u32, first_sum);
+    }
+    if let Some(t0) = t0 {
+        ctx.counters.profile.add_wall(node_idx, t0.elapsed());
     }
 }
 
@@ -1279,12 +1121,7 @@ fn gather_tail_lists(
         trie.for_each(&node_cur, sub.level, |key, child| {
             let base = s.writes.len();
             s.writes.resize(base + stride, Value::Null);
-            for action in &sub.iter_actions {
-                let IterAction::Write { key_pos, slot } = *action else {
-                    unreachable!("independent-tail covers bind only new variables");
-                };
-                s.writes[base + (slot - node.bound_before)] = key[key_pos];
-            }
+            write_tail_entry(node, key, &mut s.writes[base..]);
             s.weights.push(child.map_or(1, |c| trie.tuple_count(c)));
         });
         if s.weights.is_empty() {
@@ -1299,60 +1136,43 @@ fn gather_tail_lists(
 /// task's slice of the first expansion list against the full inner product.
 /// Emission order within the slice matches the unsplit stream, so
 /// path-key-ordered sinks concatenate to the unsplit emission order.
-#[allow(clippy::too_many_arguments)]
 fn run_tail_range(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
+    ctx: &mut ExecCtx,
     node_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &[Arc<TrieNode>],
     weight: u64,
     writes: &[Value],
     weights: &[u64],
-    lo: usize,
-    hi: usize,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
+    range: Range<usize>,
     scratch: &mut [NodeScratch],
-    out: &mut ChunkBuffer,
 ) {
+    let plan = ctx.plan;
     let inner = &plan.nodes[node_idx + 1..];
-    if !gather_tail_lists(tries, inner, current, scratch) {
+    if !gather_tail_lists(ctx.tries, inner, ctx.current, scratch) {
         return;
     }
     let node = &plan.nodes[node_idx];
     let stride = node.bound_after - node.bound_before;
-    let t0 = counters.profile.is_enabled().then(Instant::now);
+    let t0 = ctx.counters.profile.is_enabled().then(Instant::now);
     let gathered = &scratch[1..1 + inner.len()];
     let inner_count: u64 =
         gathered.iter().fold(1u64, |acc, s| acc.saturating_mul(s.weights.len() as u64));
-    if let Some(tb) = counters.traces.last_mut() {
+    if let Some(tb) = ctx.counters.traces.last_mut() {
         tb.begin(TraceCat::Node, node_idx as u32, inner_count, &[]);
     }
     let mut first_sum: u64 = 0;
-    for i in lo..hi {
-        if counters.check_cancel() {
+    for i in range {
+        if ctx.counters.check_cancel() {
             break;
         }
-        counters.expansions += inner_count.max(1);
-        counters.profile.add_expansions(node_idx, inner_count.max(1));
-        tuple[node.bound_before..node.bound_after]
+        ctx.counters.expansions += inner_count.max(1);
+        ctx.counters.profile.add_expansions(node_idx, inner_count.max(1));
+        ctx.tuple[node.bound_before..node.bound_after]
             .copy_from_slice(&writes[i * stride..(i + 1) * stride]);
         let w = weight.saturating_mul(weights[i]);
         first_sum = first_sum.saturating_add(w);
-        if inner.is_empty() {
-            out.push(sink, tuple, w);
-        } else {
-            emit_product(inner, gathered, 0, tuple, w, sink, counters, out);
-        }
+        emit_product(ctx, inner, gathered, 0, w);
     }
-    profile_tail_rows(&mut counters.profile, node_idx, first_sum, gathered);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, first_sum);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
-    }
+    finish_tail_span(ctx, node_idx, first_sum, gathered, t0);
 }
 
 /// Emit the Cartesian product of gathered tail lists, depth-first in list
@@ -1361,342 +1181,58 @@ fn run_tail_range(
 /// weight; the innermost level appends to the chunk buffer. A single product
 /// can dominate a query's output, so every level's loop is a cancellation
 /// boundary (one cached check per product row once a trip is observed).
-#[allow(clippy::too_many_arguments)]
 fn emit_product(
+    ctx: &mut ExecCtx,
     nodes: &[CompiledNode],
     lists: &[NodeScratch],
     depth: usize,
-    tuple: &mut Vec<Value>,
     weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    out: &mut ChunkBuffer,
 ) {
-    let node = &nodes[depth];
+    let Some(node) = nodes.get(depth) else {
+        // No inner lists: the first tail node was the last plan node.
+        ctx.out.push(ctx.sink, ctx.tuple, weight);
+        return;
+    };
     let list = &lists[depth];
     let stride = node.bound_after - node.bound_before;
     let last = depth + 1 == nodes.len();
     for (i, &entry_weight) in list.weights.iter().enumerate() {
-        if counters.check_cancel() {
+        if ctx.counters.check_cancel() {
             return;
         }
-        tuple[node.bound_before..node.bound_after]
+        ctx.tuple[node.bound_before..node.bound_after]
             .copy_from_slice(&list.writes[i * stride..(i + 1) * stride]);
         let w = weight.saturating_mul(entry_weight);
         if last {
-            out.push(sink, tuple, w);
+            ctx.out.push(ctx.sink, ctx.tuple, w);
         } else {
-            emit_product(nodes, lists, depth + 1, tuple, w, sink, counters, out);
+            emit_product(ctx, nodes, lists, depth + 1, w);
         }
     }
 }
 
-/// Fill `order` with the node's non-cover subatom indices ranked for
-/// adaptive probing: ascending by the construction-fixed key bound of each
-/// subatom's current trie position, stable so the plan order breaks ties.
-/// Returns whether the result differs from plan order (the caller charges
-/// `reorders` per binding it applies the order to). O(1) per candidate —
-/// `key_bound` is fixed at trie construction, which is also what makes the
-/// ranking identical at any thread count or steal schedule.
-fn order_probes(
-    node: &CompiledNode,
-    cover_idx: usize,
-    current: &[Arc<TrieNode>],
-    order: &mut Vec<usize>,
-) -> bool {
+/// Fill the node's probe order for one cover walk: its non-cover subatoms in
+/// plan order, or — under adaptive execution at a reorderable node with more
+/// than one probe — ranked ascending by the construction-fixed key bound of
+/// each subatom's current trie position, stable so the plan order breaks
+/// ties. The probed inputs' positions stay fixed for the whole walk (only
+/// the cover varies per entry), so one O(#subatoms) ranking serves every
+/// batch and every entry sees the same order at any batch size. `key_bound`
+/// is fixed at trie construction, which is also what makes the ranking
+/// identical at any thread count or steal schedule.
+fn order_probes(ctx: &ExecCtx, node: &CompiledNode, cover_idx: usize, mine: &mut NodeScratch) {
+    let order = &mut mine.probe_order;
     order.clear();
     order.extend((0..node.subatoms.len()).filter(|&j| j != cover_idx));
-    order.sort_by_key(|&j| current[node.subatoms[j].input].key_bound());
-    order.windows(2).any(|w| w[0] > w[1])
-}
-
-/// Probe one non-cover subatom for the current binding: build the key from
-/// the bound tuple slots, look it up, and either fold the weight (final
-/// level) or descend `current` (saving the old position in `mine.saved`).
-/// Returns `false` on a miss. Shared by the static and adaptive scalar
-/// probe loops of [`process_cover_entry`].
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn probe_one_subatom(
-    tries: &[Arc<InputTrie>],
-    node_idx: usize,
-    sub: &CompiledSubatom,
-    tuple: &[Value],
-    current: &mut [Arc<TrieNode>],
-    mine: &mut NodeScratch,
-    local_weight: &mut u64,
-    counters: &mut ExecCounters,
-) -> bool {
-    counters.probes += 1;
-    match probe_subatom(
-        &tries[sub.input],
-        &current[sub.input],
-        sub.level,
-        &sub.key_slots,
-        &mut mine.spill_key,
-        |s| tuple[s],
-    ) {
-        Some(child_node) => {
-            counters.probe_hits += 1;
-            counters.profile.add_probe(node_idx, true);
-            if sub.final_for_input {
-                *local_weight =
-                    local_weight.saturating_mul(tries[sub.input].tuple_count(&child_node));
-            } else {
-                mine.saved
-                    .push((sub.input, std::mem::replace(&mut current[sub.input], child_node)));
-            }
-            true
-        }
-        None => {
-            counters.profile.add_probe(node_idx, false);
-            false
-        }
+    mine.reordered = false;
+    if ctx.options.adaptive && node.reorderable && order.len() > 1 {
+        order.sort_by_key(|&j| ctx.current[node.subatoms[j].input].key_bound());
+        mine.reordered = order.windows(2).any(|w| w[0] > w[1]);
     }
 }
 
-/// Apply the cover's iteration actions to the tuple buffer. Returns `false`
-/// when a `Check` action fails (the iterated key re-binds an already-bound
-/// variable to a different value).
-fn apply_iter_actions(actions: &[IterAction], key: &[Value], tuple: &mut [Value]) -> bool {
-    for action in actions {
-        match *action {
-            IterAction::Write { key_pos, slot } => tuple[slot] = key[key_pos],
-            IterAction::Check { key_pos, slot } => {
-                if tuple[slot] != key[key_pos] {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Process one iterated cover entry of a node: bind the key, probe the other
-/// subatoms, and recurse into the next node for matches. This is the body of
-/// the scalar cover loop, shared between the serial path (driven by
-/// [`InputTrie::for_each`]) and the parallel path (driven by the range items
-/// of scheduler tasks).
-#[allow(clippy::too_many_arguments)]
-fn process_cover_entry(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    cover_idx: usize,
-    key: &[Value],
-    child: Option<&Arc<TrieNode>>,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
-) {
-    // The serial path's per-cover-entry cancellation boundary: a fired token
-    // turns every remaining `for_each` callback into this one test.
-    if counters.check_cancel() {
-        return;
-    }
-    let node = &plan.nodes[node_idx];
-    let cover = &node.subatoms[cover_idx];
-    let cover_trie = &tries[cover.input];
-    counters.expansions += 1;
-    counters.profile.add_expansions(node_idx, 1);
-    if !apply_iter_actions(&cover.iter_actions, key, tuple) {
-        return;
-    }
-    let (mine, rest) = scratch.split_at_mut(1);
-    let mine = &mut mine[0];
-    let mut local_weight = weight;
-    mine.saved.clear();
-
-    // The cover's own continuation.
-    if cover.final_for_input {
-        if let Some(c) = child {
-            local_weight = local_weight.saturating_mul(cover_trie.tuple_count(c));
-        }
-    } else {
-        let c = child.expect("non-final cover level is forced into a map").clone();
-        mine.saved.push((cover.input, std::mem::replace(&mut current[cover.input], c)));
-    }
-
-    // Probe the other subatoms, building each key in place from the tuple
-    // slots — in plan order on the static path, smallest current bound first
-    // under adaptive execution (one mask check decides; with two subatoms
-    // there is a single probe and nothing to reorder).
-    let mut all_matched = true;
-    if options.adaptive && node.reorderable && node.subatoms.len() > 2 {
-        if order_probes(node, cover_idx, current, &mut mine.probe_order) {
-            counters.reorders += 1;
-            if let Some(tb) = counters.traces.last_mut() {
-                tb.instant(TraceCat::Reorder, node_idx as u32, 1, &[]);
-            }
-        }
-        for t in 0..node.subatoms.len() - 1 {
-            let j = mine.probe_order[t];
-            if !probe_one_subatom(
-                tries,
-                node_idx,
-                &node.subatoms[j],
-                tuple,
-                current,
-                mine,
-                &mut local_weight,
-                counters,
-            ) {
-                all_matched = false;
-                break;
-            }
-        }
-    } else {
-        for (j, sub) in node.subatoms.iter().enumerate() {
-            if j == cover_idx {
-                continue;
-            }
-            if !probe_one_subatom(
-                tries,
-                node_idx,
-                sub,
-                tuple,
-                current,
-                mine,
-                &mut local_weight,
-                counters,
-            ) {
-                all_matched = false;
-                break;
-            }
-        }
-    }
-
-    if all_matched && local_weight > 0 {
-        counters.profile.add_output_rows(node_idx, local_weight);
-        run_node(
-            tries,
-            plan,
-            options,
-            node_idx + 1,
-            tuple,
-            current,
-            local_weight,
-            sink,
-            counters,
-            rest,
-            out,
-            splitter,
-        );
-    }
-    for (input, old) in mine.saved.drain(..) {
-        current[input] = old;
-    }
-}
-
-/// Tuple-at-a-time execution of one node (no vectorization).
-#[allow(clippy::too_many_arguments)]
-fn run_node_scalar(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    cover_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
-) {
-    let node = &plan.nodes[node_idx];
-    let cover = &node.subatoms[cover_idx];
-    let cover_trie = &tries[cover.input];
-    let cover_node = current[cover.input].clone();
-    let t0 = counters.profile.is_enabled().then(Instant::now);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.begin(TraceCat::Node, node_idx as u32, 0, &[]);
-    }
-
-    cover_trie.for_each(&cover_node, cover.level, |key, child| {
-        process_cover_entry(
-            tries, plan, options, node_idx, cover_idx, key, child, tuple, current, weight, sink,
-            counters, scratch, out, splitter,
-        );
-    });
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, 0);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
-    }
-}
-
-/// Vectorized execution of one node (Figure 13): batch the cover iteration,
-/// run each probe across the whole batch, then recurse for the survivors.
-#[allow(clippy::too_many_arguments)]
-fn run_node_vectorized(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    cover_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
-) {
-    let node = &plan.nodes[node_idx];
-    let cover = &node.subatoms[cover_idx];
-    let cover_trie = &tries[cover.input];
-    let cover_node = current[cover.input].clone();
-    let batch_size = options.batch_size;
-    let t0 = counters.profile.is_enabled().then(Instant::now);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.begin(TraceCat::Node, node_idx as u32, 0, &[]);
-    }
-
-    let (mine, rest) = scratch.split_at_mut(1);
-    let mine = &mut mine[0];
-    ensure_batch_buffers(mine, batch_size, node);
-    mine.count = 0;
-
-    cover_trie.for_each(&cover_node, cover.level, |key, child| {
-        // Checked before buffering: once cancelled, flush_batch refuses to
-        // drain, so appending again would overrun the batch buffers.
-        if counters.check_cancel() {
-            return;
-        }
-        counters.expansions += 1;
-        counters.profile.add_expansions(node_idx, 1);
-        buffer_cover_entry(node, cover_idx, cover_trie, key, child, tuple, weight, mine);
-        if mine.count >= batch_size {
-            flush_batch(
-                tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink,
-                counters, out, splitter,
-            );
-        }
-    });
-    flush_batch(
-        tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink, counters, out,
-        splitter,
-    );
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, 0);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
-    }
-}
-
-/// Size a node's vectorization buffers for the configured batch size; a
-/// no-op once sized (the buffers are reused across invocations).
+/// Size a node's batch buffers for the configured batch size; a no-op once
+/// sized (the buffers are reused across invocations).
 fn ensure_batch_buffers(mine: &mut NodeScratch, batch_size: usize, node: &CompiledNode) {
     let new_slots = node.bound_after - node.bound_before;
     let stride = node.subatoms.len();
@@ -1708,19 +1244,17 @@ fn ensure_batch_buffers(mine: &mut NodeScratch, batch_size: usize, node: &Compil
     }
 }
 
-/// Buffer one iterated cover entry into the vectorized batch (the gather
-/// half of Figure 13): evaluate checks, collect writes into the entry's
-/// slice of the batch buffer rather than the shared tuple, and record the
-/// cover's weight/child continuation. Entries failing a `Check` are skipped.
-/// Shared between the serial vectorized loop and the parallel task driver.
-#[allow(clippy::too_many_arguments)]
+/// Buffer one iterated cover entry into the batch (the gather half of
+/// Figure 13): evaluate checks, collect writes into the entry's slice of the
+/// batch buffer rather than the shared tuple, and record the cover's
+/// weight/child continuation. Entries failing a `Check` (the iterated key
+/// re-binds an already-bound variable to a different value) are skipped.
 fn buffer_cover_entry(
+    ctx: &ExecCtx,
     node: &CompiledNode,
     cover_idx: usize,
-    cover_trie: &InputTrie,
     key: &[Value],
     child: Option<&Arc<TrieNode>>,
-    tuple: &[Value],
     weight: u64,
     mine: &mut NodeScratch,
 ) {
@@ -1734,7 +1268,7 @@ fn buffer_cover_entry(
                 mine.writes[e * new_slots + (slot - node.bound_before)] = key[key_pos];
             }
             IterAction::Check { key_pos, slot } => {
-                if tuple[slot] != key[key_pos] {
+                if ctx.tuple[slot] != key[key_pos] {
                     return;
                 }
             }
@@ -1744,7 +1278,7 @@ fn buffer_cover_entry(
     mine.alive[e] = true;
     if cover.final_for_input {
         if let Some(c) = child {
-            mine.weights[e] = mine.weights[e].saturating_mul(cover_trie.tuple_count(c));
+            mine.weights[e] = weight.saturating_mul(ctx.tries[cover.input].tuple_count(c));
         }
     } else {
         let c = child.expect("non-final cover level is forced into a map").clone();
@@ -1753,64 +1287,56 @@ fn buffer_cover_entry(
     mine.count += 1;
 }
 
-/// Probe every non-cover subatom across the buffered batch, then recurse for
-/// the surviving entries (the body of Figure 13).
-#[allow(clippy::too_many_arguments)]
+/// The probe kernel (the body of Figure 13): probe every non-cover subatom
+/// across the buffered batch, then recurse for the surviving entries.
 fn flush_batch(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
+    ctx: &mut ExecCtx,
     node_idx: usize,
-    cover_idx: usize,
     mine: &mut NodeScratch,
     rest: &mut [NodeScratch],
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
 ) {
     if mine.count == 0 {
         return;
     }
-    if counters.check_cancel() {
+    if ctx.counters.check_cancel() {
         // Abandon the buffered batch; the entries are dead (the query's
         // partial output is discarded) and resetting keeps the scratch
         // reusable.
         mine.count = 0;
         return;
     }
+    let (tries, plan) = (ctx.tries, ctx.plan);
     let node = &plan.nodes[node_idx];
     let new_slots = node.bound_after - node.bound_before;
     let stride = node.subatoms.len();
 
-    // Probe phase: one pass over the batch per probed relation, giving the
-    // temporal locality the paper's vectorization targets. Each entry's key
-    // is built in place from the already-bound tuple slots and the batch's
-    // write buffer. The probed inputs' trie positions are fixed across the
-    // batch (only the cover varies per entry), so under adaptive execution
-    // the passes run smallest current bound first — one O(#subatoms) ranking
-    // per flush, amortized over up to `batch_size` probes, and every entry
-    // sees the same per-binding order the scalar path would use.
+    // Probe phase: one pass over the batch per probed relation, in the
+    // walk's probe order, giving the temporal locality the paper's
+    // vectorization targets. Each entry's key is built in place from the
+    // already-bound tuple slots and the batch's write buffer.
     {
-        let NodeScratch { spill_key, writes, weights, alive, children, count, probe_order, .. } =
-            &mut *mine;
-        if options.adaptive && node.reorderable && node.subatoms.len() > 2 {
-            if order_probes(node, cover_idx, current, probe_order) {
-                counters.reorders += *count as u64;
-                if let Some(tb) = counters.traces.last_mut() {
-                    tb.instant(TraceCat::Reorder, node_idx as u32, *count as u64, &[]);
-                }
+        let NodeScratch {
+            spill_key,
+            writes,
+            weights,
+            alive,
+            children,
+            count,
+            probe_order,
+            reordered,
+            ..
+        } = &mut *mine;
+        if *reordered {
+            ctx.counters.reorders += *count as u64;
+            if let Some(tb) = ctx.counters.traces.last_mut() {
+                tb.instant(TraceCat::Reorder, node_idx as u32, *count as u64, &[]);
             }
-        } else {
-            probe_order.clear();
-            probe_order.extend((0..node.subatoms.len()).filter(|&j| j != cover_idx));
         }
+        let tuple = &*ctx.tuple;
         for &j in probe_order.iter() {
             let sub = &node.subatoms[j];
             let trie = &tries[sub.input];
-            let base = current[sub.input].clone();
+            let base = &ctx.current[sub.input];
             for e in 0..*count {
                 if !alive[e] {
                     continue;
@@ -1822,11 +1348,11 @@ fn flush_batch(
                         writes[e * new_slots + (s - node.bound_before)]
                     }
                 };
-                counters.probes += 1;
-                match probe_subatom(trie, &base, sub.level, &sub.key_slots, spill_key, read) {
+                ctx.counters.probes += 1;
+                match probe_subatom(trie, base, sub.level, &sub.key_slots, spill_key, read) {
                     Some(child) => {
-                        counters.probe_hits += 1;
-                        counters.profile.add_probe(node_idx, true);
+                        ctx.counters.probe_hits += 1;
+                        ctx.counters.profile.add_probe(node_idx, true);
                         if sub.final_for_input {
                             weights[e] = weights[e].saturating_mul(trie.tuple_count(&child));
                         } else {
@@ -1834,7 +1360,7 @@ fn flush_batch(
                         }
                     }
                     None => {
-                        counters.profile.add_probe(node_idx, false);
+                        ctx.counters.profile.add_probe(node_idx, false);
                         alive[e] = false;
                     }
                 }
@@ -1851,32 +1377,19 @@ fn flush_batch(
             }
             continue;
         }
-        for k in 0..new_slots {
-            tuple[node.bound_before + k] = mine.writes[e * new_slots + k];
-        }
+        ctx.tuple[node.bound_before..node.bound_after]
+            .copy_from_slice(&mine.writes[e * new_slots..(e + 1) * new_slots]);
         mine.saved.clear();
         for (j, sub) in node.subatoms.iter().enumerate() {
             if let Some(child) = mine.children[e * stride + j].take() {
-                mine.saved.push((sub.input, std::mem::replace(&mut current[sub.input], child)));
+                mine.saved
+                    .push((sub.input, std::mem::replace(&mut ctx.current[sub.input], child)));
             }
         }
-        counters.profile.add_output_rows(node_idx, mine.weights[e]);
-        run_node(
-            tries,
-            plan,
-            options,
-            node_idx + 1,
-            tuple,
-            current,
-            mine.weights[e],
-            sink,
-            counters,
-            rest,
-            out,
-            splitter,
-        );
+        ctx.counters.profile.add_output_rows(node_idx, mine.weights[e]);
+        run_node(ctx, node_idx + 1, mine.weights[e], rest);
         for (input, old) in mine.saved.drain(..) {
-            current[input] = old;
+            ctx.current[input] = old;
         }
     }
     mine.count = 0;
@@ -2308,13 +1821,64 @@ mod tests {
         let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
         let mut plan = binary2fj(&iv);
         factor(&mut plan);
-        let opts = FreeJoinOptions::default().with_batch_size(1);
-        let (serial_count, serial_counters) = run(&inputs, &plan, &opts, Aggregate::Count);
-        let (par_count, par_counters) = run_parallel(&inputs, &plan, &opts, Aggregate::Count, 4);
-        assert_eq!(serial_count, par_count);
-        // Every root entry does the same probes and expansions whichever
-        // worker runs it; only the scheduling counters (spawned / stolen /
-        // per-worker shares) depend on the schedule.
-        assert_eq!(serial_counters.work(), par_counters.work());
+        assert_counters_invariant(&inputs, &plan);
+
+        // A three-way node whose static probe order is wrong: adaptive
+        // execution iterates T and probes S before R, so `reorders` is
+        // nonzero and must still agree across the grid.
+        let mut cat = Catalog::new();
+        for (name, rows) in [("R", 0..200i64), ("S", 0..50), ("T", 0..20)] {
+            let mut b = RelationBuilder::new(name, Schema::all_int(&["x"]));
+            for i in rows {
+                b.push_ints(&[if name == "S" { 2 * i } else { i }]).unwrap();
+            }
+            cat.add(b.finish()).unwrap();
+        }
+        let q = QueryBuilder::new("q")
+            .atom("R", &["x"])
+            .atom("S", &["x"])
+            .atom("T", &["x"])
+            .build();
+        let inputs = prepare_inputs(&cat, &q).unwrap().atoms;
+        let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
+        let plan = fj_plan_from_var_order(&["x".to_string()], &iv);
+        let adaptive = assert_counters_invariant(&inputs, &plan)[1];
+        assert_eq!(adaptive.0, 10, "x in {{0, 2, .., 18}}");
+        assert_eq!(adaptive.2, 20, "every T binding is reordered");
+    }
+
+    /// Run `plan` over the grid batch {1, 3, 1000} × threads {1, 4} for
+    /// adaptive off and on, and assert that the count, `work()` and
+    /// `reorders` are identical across batch sizes and thread counts. Every
+    /// cover entry does the same probes and expansions whichever worker runs
+    /// it and whatever batch it lands in (batch 1 is tuple-at-a-time
+    /// execution through the same probe kernel, and adaptive ranking reads
+    /// construction-fixed bounds); only the scheduling counters depend on
+    /// the schedule. A small split threshold makes the parallel runs split
+    /// below the root too. Returns the `[off, on]` results.
+    fn assert_counters_invariant(
+        inputs: &[BoundInput],
+        plan: &fj_plan::FreeJoinPlan,
+    ) -> [(u64, (u64, u64, u64), u64); 2] {
+        [false, true].map(|adaptive| {
+            let mut reference = None;
+            for batch in [1usize, 3, 1000] {
+                for threads in [1usize, 4] {
+                    let opts = FreeJoinOptions::default()
+                        .with_batch_size(batch)
+                        .with_adaptive(adaptive)
+                        .with_split_threshold(4);
+                    let (count, counters) =
+                        run_parallel(inputs, plan, &opts, Aggregate::Count, threads);
+                    let got = (count, counters.work(), counters.reorders);
+                    let expected = *reference.get_or_insert(got);
+                    assert_eq!(
+                        expected, got,
+                        "batch {batch} threads {threads} adaptive {adaptive} on {plan}"
+                    );
+                }
+            }
+            reference.expect("the grid is not empty")
+        })
     }
 }

@@ -25,7 +25,8 @@
 //!
 //! Execution is **work-stealing parallel** by default
 //! ([`FreeJoinOptions::num_threads`] `= 0` uses the machine's available
-//! parallelism; `1` selects the exact legacy serial path): the trie layer is
+//! parallelism; `1` walks the plan serially through the same cover walk and
+//! probe kernel, without the scheduler): the trie layer is
 //! `Send + Sync` with race-free lazy forcing, the root cover iteration seeds
 //! a shared task injector, oversized expansions anywhere in the plan re-split
 //! into stealable sub-tasks, and per-task sinks merge deterministically in

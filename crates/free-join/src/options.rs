@@ -34,8 +34,10 @@ impl TrieStrategy {
 pub struct FreeJoinOptions {
     /// Trie build strategy (default: COLT).
     pub trie: TrieStrategy,
-    /// Vectorization batch size; `1` disables vectorization (Section 4.3,
-    /// Figure 18). The paper's default is 1000.
+    /// Vectorization batch size (Section 4.3, Figure 18): how many cover
+    /// entries every plan node gathers before running its probes over the
+    /// whole batch. `1` is tuple-at-a-time execution through the same probe
+    /// kernel; `0` is treated as `1`. The paper's default is 1000.
     pub batch_size: usize,
     /// Choose the cover with the fewest keys at run time (Section 4.4)
     /// instead of always iterating the statically designated cover.
@@ -53,12 +55,13 @@ pub struct FreeJoinOptions {
     /// Off by default to match the paper; exposed for the ablation benches.
     pub factor_to_fixpoint: bool,
     /// Number of worker threads for morsel-driven parallel execution.
-    /// `0` (the default) uses the machine's available parallelism; `1` runs
-    /// the exact legacy single-threaded algorithm. Any value > 1 runs the
-    /// work-stealing scheduler: the first plan node's cover iteration seeds
-    /// a shared injector, and expansions anywhere in the plan that exceed
-    /// `split_threshold` are re-split into stealable sub-range tasks (see
-    /// `exec::execute_pipeline_parallel`).
+    /// `0` (the default) uses the machine's available parallelism; `1` walks
+    /// the plan on the calling thread, without the scheduler. Any value > 1
+    /// runs the work-stealing scheduler: the first plan node's cover
+    /// iteration seeds a shared injector, and expansions anywhere in the plan
+    /// that exceed `split_threshold` are re-split into stealable sub-range
+    /// tasks (see `exec::execute_pipeline_parallel`). Both run the same cover
+    /// walk and probe kernel.
     pub num_threads: usize,
     /// Allow workers to re-split large expansions *inside* the plan into
     /// sub-range tasks that idle workers steal. Off, parallelism stops at
@@ -87,9 +90,9 @@ pub struct FreeJoinOptions {
     /// lazily forces) a huge one. The static order is the tie-break and the
     /// fallback for non-reorderable nodes. Decisions depend only on trie
     /// sizes fixed at construction, so results are identical to the static
-    /// order at any thread count or steal schedule. Off by default: the
-    /// static path stays exact-legacy, guarded by one precomputed per-node
-    /// mask check.
+    /// order at any thread count, steal schedule or batch size. Off by
+    /// default: probes then run in plan order, guarded by one precomputed
+    /// per-node mask check.
     pub adaptive: bool,
     /// Span tracing: record per-worker event rings (task/node spans, steal
     /// and split instants, trie fetch/build spans) for assembly into a
@@ -235,11 +238,6 @@ impl FreeJoinOptions {
         self
     }
 
-    /// Is vectorization enabled?
-    pub fn vectorized(&self) -> bool {
-        self.batch_size > 1
-    }
-
     /// The cancel token this configuration implies: disabled (zero-cost
     /// checks) when neither `deadline_ms` nor `max_result_bytes` is set,
     /// otherwise armed with a deadline `deadline_ms` from *now* and the
@@ -279,7 +277,7 @@ mod tests {
         assert!(o.dynamic_cover);
         assert!(o.optimize_plan);
         assert!(!o.factorize_output);
-        assert!(o.vectorized());
+        assert!(o.batch_size > 1, "vectorized by default");
         assert_eq!(o.num_threads, 0, "default is auto (available parallelism)");
         assert!(o.effective_threads() >= 1);
         assert!(o.steal, "work stealing is on by default");
@@ -303,7 +301,7 @@ mod tests {
         assert_eq!(serial.effective_threads(), 1);
         let four = FreeJoinOptions::default().with_num_threads(4);
         assert_eq!(four.effective_threads(), 4);
-        // The paper's Generic Join baseline is the legacy serial path.
+        // The paper's Generic Join baseline runs on one thread.
         assert_eq!(FreeJoinOptions::generic_join_baseline().effective_threads(), 1);
     }
 
@@ -311,8 +309,7 @@ mod tests {
     fn generic_join_baseline_configuration() {
         let o = FreeJoinOptions::generic_join_baseline();
         assert_eq!(o.trie, TrieStrategy::Simple);
-        assert_eq!(o.batch_size, 1);
-        assert!(!o.vectorized());
+        assert_eq!(o.batch_size, 1, "tuple-at-a-time, as in the paper's baseline");
     }
 
     #[test]

@@ -488,12 +488,12 @@ impl InputTrie {
         }
     }
 
-    /// Tuple-wise iteration of the [`InputTrie::for_each`] fast path: call
-    /// `f` with the key values of every row offset, reading directly from
-    /// the column vectors. Arity ≤ 2 keys are assembled in stack arrays;
+    /// Tuple-wise iteration of the [`InputTrie::for_each`] fast path (and of
+    /// the executor's base-row range tasks): call `f` with the key values of
+    /// every row offset, reading directly from the column vectors. Arity ≤ 2 keys are assembled in stack arrays;
     /// wider keys go through one reused buffer. No per-row allocation either
     /// way.
-    fn for_each_row_key(
+    pub(crate) fn for_each_row_key(
         &self,
         level: usize,
         rows: impl Iterator<Item = u32>,

@@ -18,7 +18,11 @@ Checks, each a hard failure:
     scheduler gauges, latency histogram);
   * histogram sanity per `*_bucket` family: bucket counts are cumulative
     (non-decreasing in order of appearance), the `le="+Inf"` bucket is
-    present, and it equals the family's `_count` series.
+    present, and it equals the family's `_count` series;
+  * every served request is in the latency histogram:
+    `fj_serve_latency_us_count` equals `fj_serve_requests_served` (the
+    server bumps both before writing each response, so a quiescent scrape
+    sees them equal).
 """
 
 import re
@@ -127,6 +131,14 @@ def main() -> int:
             )
         if family not in counts:
             errors.append(f"{family}: buckets without a _count series")
+
+    latency_count = seen.get("fj_serve_latency_us_count")
+    served = seen.get("fj_serve_requests_served")
+    if latency_count is not None and served is not None and latency_count != served:
+        errors.append(
+            f"fj_serve_latency_us_count {latency_count} != "
+            f"fj_serve_requests_served {served}"
+        )
 
     if errors:
         for error in errors:

@@ -17,8 +17,8 @@
 //!   build is timed; among the least-recently-used candidates the victim
 //!   with the lowest `build_cost × (1 + hits)` score is evicted, so cheap
 //!   tries yield budget to expensive ones), and atomic [`CacheStats`].
-//!   [`StatsSnapshot`] pairs the trie- and plan-cache snapshots into the
-//!   plain wire-encodable struct served by `fj-serve`'s stats frame.
+//!   [`StatsSnapshot`] pairs the trie- and plan-cache snapshots and
+//!   publishes them into an `fj_obs::MetricsRegistry`.
 //! * [`TrieCache`] — `ShardedLru` keyed by [`TrieKey`] `(relation name,
 //!   relation version, trie strategy, column key-order, filter
 //!   fingerprint)`, handing out `Arc` clones of built tries so concurrent
@@ -46,5 +46,5 @@ pub mod trie_cache;
 pub use fingerprint::{fingerprint_debug, Fingerprinter};
 pub use lru::ShardedLru;
 pub use plan_cache::PlanCache;
-pub use stats::{take_u64, CacheStats, ExecTotals, SchedStats, StatsSnapshot};
+pub use stats::{CacheStats, ExecTotals, SchedStats, StatsSnapshot};
 pub use trie_cache::{TrieCache, TrieKey};

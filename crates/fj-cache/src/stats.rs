@@ -1,26 +1,13 @@
 //! Cache observability: atomic counters and their public snapshots.
 //!
 //! [`CacheStats`] is one cache's point-in-time snapshot; [`StatsSnapshot`]
-//! pairs the trie and plan caches' snapshots into the plain, wire-encodable
-//! struct that serving front-ends ship in `/metrics`-style stats frames.
-//! Both are plain `Copy` data — no atomics, no locks — so they can be held
-//! across passes, diffed with `delta`, and encoded with the hand-rolled
-//! fixed-order binary codec (the workspace's offline `serde` stand-in does
-//! not serialize, so the codec is explicit: every field is one
-//! little-endian `u64`, in declaration order).
+//! pairs the trie and plan caches' snapshots with the session's scheduler
+//! and adaptive-execution counters. Both are plain `Copy` data — no
+//! atomics, no locks — so they can be held across passes and diffed with
+//! `delta`. [`StatsSnapshot::register_into`] publishes them into an
+//! [`fj_obs::MetricsRegistry`], which is the only exposition format.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Take one little-endian `u64` off the front of `bytes`, advancing the
-/// slice; `None` when fewer than 8 bytes remain. The single wire-decode
-/// primitive shared by every fixed-order codec in the workspace
-/// ([`CacheStats::decode`], `fj-serve`'s stats frame) so the layout can
-/// never desynchronize between copies.
-pub fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-    let (head, rest) = bytes.split_first_chunk::<8>()?;
-    *bytes = rest;
-    Some(u64::from_le_bytes(*head))
-}
 
 /// A point-in-time snapshot of a cache's counters and gauges — the public
 /// stats API consulted by sessions, benchmarks and tests.
@@ -85,8 +72,8 @@ impl CacheStats {
         }
     }
 
-    /// Field (name, value) pairs in codec order — the single source of truth
-    /// for the binary layout and for metrics-text rendering.
+    /// Field (name, value) pairs — the single source of truth for the
+    /// registry series names.
     pub fn fields(&self) -> [(&'static str, u64); 10] {
         [
             ("hits", self.hits),
@@ -101,37 +88,11 @@ impl CacheStats {
             ("entries", self.entries),
         ]
     }
-
-    /// Append the fixed-order binary encoding (10 little-endian `u64`s).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for (_, v) in self.fields() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decode a snapshot from the front of `bytes`, advancing the slice.
-    /// Returns `None` when fewer than 80 bytes remain.
-    pub fn decode(bytes: &mut &[u8]) -> Option<CacheStats> {
-        let mut take = || take_u64(bytes);
-        Some(CacheStats {
-            hits: take()?,
-            misses: take()?,
-            coalesced: take()?,
-            inserts: take()?,
-            evictions: take()?,
-            bytes_evicted: take()?,
-            uncacheable: take()?,
-            invalidated: take()?,
-            resident_bytes: take()?,
-            entries: take()?,
-        })
-    }
 }
 
 /// Work-stealing scheduler counters accumulated across a session's query
 /// executions: how many tasks the parallel executor spawned, and how many
-/// were stolen by a worker other than their spawner. Wire-encoded as two
-/// little-endian `u64`s in declaration order, like [`CacheStats`].
+/// were stolen by a worker other than their spawner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Scheduler tasks spawned (root range tasks plus split sub-ranges).
@@ -149,29 +110,16 @@ impl SchedStats {
         }
     }
 
-    /// Field (name, value) pairs in codec order.
+    /// Field (name, value) pairs (registry series names).
     pub fn fields(&self) -> [(&'static str, u64); 2] {
         [("tasks_spawned", self.tasks_spawned), ("tasks_stolen", self.tasks_stolen)]
-    }
-
-    /// Append the fixed-order binary encoding (2 little-endian `u64`s).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for (_, v) in self.fields() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decode from the front of `bytes`, advancing the slice.
-    pub fn decode(bytes: &mut &[u8]) -> Option<SchedStats> {
-        Some(SchedStats { tasks_spawned: take_u64(bytes)?, tasks_stolen: take_u64(bytes)? })
     }
 }
 
 /// Adaptive-execution counters accumulated across a session's query
 /// executions: per-binding probe reorders performed by the adaptive
 /// executor, and plan nodes whose profiled actuals bust their prepare-time
-/// estimate (see `fj_obs::ESTIMATE_BUST_FACTOR`). Wire-encoded as two
-/// little-endian `u64`s in declaration order, like [`CacheStats`].
+/// estimate (see `fj_obs::ESTIMATE_BUST_FACTOR`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecTotals {
     /// Bindings/batches whose adaptive probe order differed from the static
@@ -191,30 +139,17 @@ impl ExecTotals {
         }
     }
 
-    /// Field (name, value) pairs in codec order.
+    /// Field (name, value) pairs (registry series names).
     pub fn fields(&self) -> [(&'static str, u64); 2] {
         [("reorders", self.reorders), ("estimate_busts", self.estimate_busts)]
-    }
-
-    /// Append the fixed-order binary encoding (2 little-endian `u64`s).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for (_, v) in self.fields() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decode from the front of `bytes`, advancing the slice.
-    pub fn decode(bytes: &mut &[u8]) -> Option<ExecTotals> {
-        Some(ExecTotals { reorders: take_u64(bytes)?, estimate_busts: take_u64(bytes)? })
     }
 }
 
 /// The combined snapshot of a serving process's cache pair — the trie cache
-/// and the plan cache — plus the session's scheduler counters, as one plain,
-/// copyable, wire-encodable struct. This is what `free-join`'s
-/// `Session::cache_stats` returns and what `fj-serve` embeds in its stats
-/// frame, so in-process assertions (e.g. `examples/serve_repeated.rs`) and
-/// remote `/metrics` consumers read the exact same shape.
+/// and the plan cache — plus the session's scheduler and adaptive-execution
+/// counters, as one plain, copyable struct. This is what `free-join`'s
+/// `Session::cache_stats` returns and what `fj-serve` folds into
+/// `Server::stats` and publishes into its metrics registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Trie cache counters/gauges.
@@ -239,30 +174,11 @@ impl StatsSnapshot {
         }
     }
 
-    /// Append the fixed-order binary encoding (tries, plans, sched, exec —
-    /// 192 bytes).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        self.tries.encode(out);
-        self.plans.encode(out);
-        self.sched.encode(out);
-        self.exec.encode(out);
-    }
-
-    /// Decode from the front of `bytes`, advancing the slice.
-    pub fn decode(bytes: &mut &[u8]) -> Option<StatsSnapshot> {
-        Some(StatsSnapshot {
-            tries: CacheStats::decode(bytes)?,
-            plans: CacheStats::decode(bytes)?,
-            sched: SchedStats::decode(bytes)?,
-            exec: ExecTotals::decode(bytes)?,
-        })
-    }
-
     /// Publish every counter and gauge into `registry` under the
     /// workspace-wide `fj_<subsystem>_<metric>` naming scheme
-    /// (`fj_cache_<cache>_<field>`, `fj_sched_<field>`). Serving front-ends
-    /// call this to merge the cache snapshot into their process registry so
-    /// one exposition carries every subsystem.
+    /// (`fj_cache_<cache>_<field>`, `fj_sched_<field>`, `fj_exec_<field>`).
+    /// Serving front-ends call this to merge the cache snapshot into their
+    /// process registry so one exposition carries every subsystem.
     pub fn register_into(&self, registry: &fj_obs::MetricsRegistry) {
         for (cache, stats) in [("trie", &self.tries), ("plan", &self.plans)] {
             for (name, value) in stats.fields() {
@@ -275,17 +191,6 @@ impl StatsSnapshot {
         for (name, value) in self.exec.fields() {
             registry.set_gauge(&format!("fj_exec_{name}"), value);
         }
-    }
-
-    /// Render as `/metrics`-style text, one `fj_cache_<cache>_<field> <value>`
-    /// line per counter/gauge plus one `fj_sched_<field> <value>` line per
-    /// scheduler counter — a transient [`fj_obs::MetricsRegistry`] exposition
-    /// of [`StatsSnapshot::register_into`], so the names and line grammar are
-    /// exactly what the registry guarantees.
-    pub fn render_metrics(&self) -> String {
-        let registry = fj_obs::MetricsRegistry::new();
-        self.register_into(&registry);
-        registry.render()
     }
 }
 
@@ -360,36 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_binary_codec_round_trips() {
-        let snap = StatsSnapshot {
-            tries: CacheStats {
-                hits: 1,
-                misses: 2,
-                coalesced: 3,
-                inserts: 4,
-                evictions: 5,
-                bytes_evicted: 6,
-                uncacheable: 7,
-                invalidated: 8,
-                resident_bytes: 9,
-                entries: 10,
-            },
-            plans: CacheStats { hits: u64::MAX, misses: 11, ..Default::default() },
-            sched: SchedStats { tasks_spawned: 12, tasks_stolen: 13 },
-            exec: ExecTotals { reorders: 14, estimate_busts: 15 },
-        };
-        let mut buf = Vec::new();
-        snap.encode(&mut buf);
-        assert_eq!(buf.len(), 192, "2 caches x 10 fields + 2 sched + 2 exec fields, u64 each");
-        let mut slice = buf.as_slice();
-        let decoded = StatsSnapshot::decode(&mut slice).unwrap();
-        assert_eq!(decoded, snap);
-        assert!(slice.is_empty(), "decode consumes exactly the encoding");
-        // Truncated input is a decode failure, not a panic.
-        assert!(StatsSnapshot::decode(&mut &buf[..191]).is_none());
-    }
-
-    #[test]
     fn snapshot_delta_and_metrics_text() {
         let before = StatsSnapshot {
             tries: CacheStats { hits: 5, misses: 2, ..Default::default() },
@@ -409,7 +284,9 @@ mod tests {
         assert_eq!(d.tries.resident_bytes, 64, "gauges come from the later snapshot");
         assert_eq!(d.sched, SchedStats { tasks_spawned: 30, tasks_stolen: 3 });
         assert_eq!(d.exec, ExecTotals { reorders: 6, estimate_busts: 1 });
-        let text = after.render_metrics();
+        let registry = fj_obs::MetricsRegistry::new();
+        after.register_into(&registry);
+        let text = registry.render();
         assert!(text.contains("fj_cache_trie_hits 9\n"));
         assert!(text.contains("fj_cache_plan_hits 4\n"));
         assert!(text.contains("fj_sched_tasks_spawned 40\n"));

@@ -92,6 +92,25 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }
+
+    /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound of the bucket
+    /// holding the rank-`ceil(q·n)` observation; 0 with no observations. A
+    /// rank in the `+Inf` bucket reports the last finite bound.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let total = self.count();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut cumulative = 0u64;
+        for (&bound, count) in self.0.bounds.iter().zip(&self.0.counts) {
+            cumulative += count.load(Ordering::Relaxed);
+            if cumulative >= rank {
+                return bound;
+            }
+        }
+        *self.0.bounds.last().expect("histogram bounds are non-empty")
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -253,6 +272,22 @@ mod tests {
         assert!(text.contains("fj_test_latency_bucket{le=\"1000\"} 5\n"), "{text}");
         assert!(text.contains("fj_test_latency_bucket{le=\"+Inf\"} 6\n"), "{text}");
         assert!(text.contains("fj_test_latency_count 6\n"), "{text}");
+    }
+
+    #[test]
+    fn quantiles_report_bucket_upper_bounds() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("fj_test_quantiles", &[10, 100, 1000]);
+        assert_eq!(h.quantile(0.5), 0, "empty histogram");
+        for v in [1, 5, 10, 50, 500] {
+            h.observe(v);
+        }
+        assert_eq!(h.quantile(0.0), 10, "rank floors at 1");
+        assert_eq!(h.quantile(0.6), 10, "rank 3 is the last value in the first bucket");
+        assert_eq!(h.quantile(0.8), 100);
+        assert_eq!(h.quantile(1.0), 1000);
+        h.observe(u64::MAX);
+        assert_eq!(h.quantile(1.0), 1000, "+Inf reports the last finite bound");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! request/response); open more clients for concurrency, exactly like the
 //! server's thread-per-connection workers expect.
 
-use crate::metrics::ServerStats;
 use crate::protocol::{
     read_frame, write_frame, BusyReason, Request, Response, WireError, MAX_FRAME_BYTES,
 };
@@ -291,14 +290,6 @@ impl Client {
                 Ok(TraceAnswer { trace_id, cardinality, service_us, span_tree, chrome_json })
             }
             _ => Err(ClientError::UnexpectedResponse("Trace")),
-        }
-    }
-
-    /// Fetch the `/metrics`-style stats snapshot.
-    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.round_trip(&Request::Stats)? {
-            Response::Stats(stats) => Ok(*stats),
-            _ => Err(ClientError::UnexpectedResponse("Stats")),
         }
     }
 

@@ -17,9 +17,9 @@
 //!   queries and parameter filters as datalog-grammar text.
 //! * [`server`] — accept loop, bounded pending queue, worker pool, the two
 //!   admission axes, graceful shutdown (drain in-flight, refuse new).
-//! * [`metrics`] — registry-backed lock-free counters plus a fixed-bucket
-//!   log-linear latency histogram: quantiles for the binary stats frame,
-//!   the full bucket dump for the Prometheus-style `Metrics` text frame.
+//! * [`metrics`] — registry-backed lock-free counters and a log-linear
+//!   latency histogram, exposed by the Prometheus-style `Metrics` text
+//!   frame and summarized in-process by [`Server::stats`].
 //! * [`client`] — the blocking client used by tests, examples and
 //!   `bench_json`'s serving mode.
 //!
@@ -64,6 +64,6 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Answer, Client, ClientError, ExecuteOpts, PreparedHandle, TraceAnswer};
-pub use metrics::{LatencyHistogram, ServerMetrics, ServerStats};
+pub use metrics::{ServerMetrics, ServerStats};
 pub use protocol::{BusyReason, Request, Response, WireError};
 pub use server::{Server, ServerConfig};

@@ -371,8 +371,8 @@ impl Shared {
     }
 
     /// The full Prometheus-style text exposition: the registry (server
-    /// counters plus cache/scheduler gauges refreshed at scrape time), the
-    /// complete latency histogram, then the slow-query log as comments.
+    /// counters, the latency histogram, and cache/scheduler gauges
+    /// refreshed at scrape time), then the slow-query log as comments.
     fn metrics_text(&self) -> String {
         self.registry
             .set_gauge("fj_serve_uptime_seconds", self.started.elapsed().as_secs());
@@ -382,7 +382,6 @@ impl Shared {
         // series (constant 1, the version as a label — the Prometheus
         // "info metric" idiom) is rendered directly.
         text.push_str(&format!("fj_build_info{{version=\"{}\"}} 1\n", env!("CARGO_PKG_VERSION")));
-        text.push_str(&self.metrics.latency.render_prometheus("fj_serve_latency_us"));
         let log = self.slow_queries.lock().expect("slow-query log lock not poisoned");
         for entry in log.iter() {
             let trace_id = entry.trace_id.map_or_else(|| "-".to_string(), |id| id.to_string());
@@ -447,14 +446,15 @@ impl Shared {
     }
 
     /// Per-peer token-bucket fairness: may this peer issue a request now?
-    /// Disabled rate limiting, or a peer without a resolvable address
-    /// (shouldn't happen on TCP), always admits.
-    fn allow(&self, peer: Option<IpAddr>) -> bool {
+    /// `Err` carries the milliseconds until its bucket holds a token again
+    /// (never zero). Disabled rate limiting, or a peer without a resolvable
+    /// address (shouldn't happen on TCP), always admits.
+    fn allow(&self, peer: Option<IpAddr>) -> Result<(), u64> {
         let rate = self.config.rate_limit_per_sec;
         if rate == 0 {
-            return true;
+            return Ok(());
         }
-        let Some(peer) = peer else { return true };
+        let Some(peer) = peer else { return Ok(()) };
         let burst = f64::from(self.config.rate_limit_burst.max(1));
         let mut buckets = self.rate_buckets.lock().expect("rate-bucket lock not poisoned");
         let now = Instant::now();
@@ -469,9 +469,9 @@ impl Shared {
         bucket.tokens = (bucket.tokens + elapsed * f64::from(rate)).min(burst);
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
-            true
+            Ok(())
         } else {
-            false
+            Err((((1.0 - bucket.tokens) * 1000.0 / f64::from(rate)).ceil() as u64).max(1))
         }
     }
 
@@ -671,7 +671,8 @@ impl Server {
         self.shared.addr
     }
 
-    /// A point-in-time stats snapshot, same data as the stats frame.
+    /// A point-in-time stats snapshot, read from the same registry handles
+    /// as the `Metrics` frame.
     pub fn stats(&self) -> ServerStats {
         self.shared.metrics.snapshot(self.shared.session.cache_stats())
     }
@@ -903,11 +904,11 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 
         // Per-client fairness, checked before anything is reserved: a peer
         // past its rate gets a typed retry hint and keeps its connection.
-        if !shared.allow(peer) {
+        if let Err(refill_ms) = shared.allow(peer) {
             shared.metrics.rate_limited.inc();
             let busy = Response::Busy {
                 reason: BusyReason::RateLimited,
-                retry_after_ms: shared.retry_after_ms(),
+                retry_after_ms: refill_ms.max(shared.retry_after_ms()),
             }
             .encode();
             if write_frame(&mut stream, &busy).is_err() {
@@ -960,7 +961,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         }
         // Count BEFORE writing the response: a client must never observe
         // its answer while the counters still miss it.
-        shared.metrics.latency.record(service_us);
+        shared.metrics.latency.observe(service_us);
         shared.metrics.served.inc();
         if matches!(response, Response::Error { .. }) {
             shared.metrics.errors.inc();
@@ -999,10 +1000,6 @@ fn handle_request(shared: &Shared, payload: &[u8]) -> (Response, bool) {
         }
         Request::Cancel { request_id } => (cancel_inflight(shared, request_id), false),
         Request::TraceFetch { trace_id } => (fetch_trace(shared, trace_id), false),
-        Request::Stats => (
-            Response::Stats(Box::new(shared.metrics.snapshot(shared.session.cache_stats()))),
-            false,
-        ),
         Request::Shutdown => (Response::Ok, true),
         Request::Metrics => (Response::Metrics { text: shared.metrics_text() }, false),
     }
@@ -1393,13 +1390,26 @@ mod tests {
         // with queue depth × the recent p50 service time.
         assert_eq!(shared.retry_after_ms(), 1, "cold server floors the hint at 1 ms");
         for _ in 0..100 {
-            shared.metrics.latency.record(10_000); // p50 ≈ 10 ms
+            shared.metrics.latency.observe(10_000); // p50 ≈ 10 ms
         }
         let idle = shared.retry_after_ms();
         assert!(idle >= 10, "idle hint covers one p50 service time, got {idle}");
         shared.queued.store(5, Ordering::Relaxed);
         let queued = shared.retry_after_ms();
         assert!(queued >= 6 * idle / 2, "depth multiplies the hint: {idle} -> {queued}");
+    }
+
+    #[test]
+    fn rate_limited_peers_are_told_when_their_bucket_refills() {
+        let config =
+            ServerConfig { rate_limit_per_sec: 50, rate_limit_burst: 1, ..Default::default() };
+        let shared = test_shared(Catalog::new(), config);
+        let peer = Some("127.0.0.1".parse().unwrap());
+        assert_eq!(shared.allow(peer), Ok(()), "a quiet peer has a full bucket");
+        // One token per 20 ms: the hint covers (nearly) the whole refill.
+        let refill_ms = shared.allow(peer).unwrap_err();
+        assert!((10..=20).contains(&refill_ms), "refill hint {refill_ms} ms");
+        assert_eq!(shared.allow(None), Ok(()), "unaddressed peers are admitted");
     }
 
     #[test]

@@ -162,9 +162,9 @@ pub struct EngineCaches {
 }
 
 /// Snapshot of both caches' statistics, as returned by
-/// [`Session::cache_stats`]. An alias of [`fj_cache::StatsSnapshot`] — the
-/// same plain, wire-encodable struct `fj-serve` ships in its stats frame —
-/// so in-process assertions and remote `/metrics` consumers read one shape.
+/// [`Session::cache_stats`]. An alias of [`fj_cache::StatsSnapshot`], the
+/// plain struct `fj-serve` folds into `Server::stats` and publishes into
+/// its metrics registry.
 pub type SessionCacheStats = StatsSnapshot;
 
 impl EngineCaches {

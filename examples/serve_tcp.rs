@@ -8,7 +8,7 @@
 //! Where `serve_repeated.rs` exercises the cache layer *in process*, this
 //! example goes through the whole serving stack — length-prefixed frames,
 //! the bounded admission queue, worker threads, the shared
-//! `Session`/`Prepared` registry, and the `/metrics` stats frame. It runs
+//! `Session`/`Prepared` registry, and the `Metrics` text frame. It runs
 //! a **cold pass** (4 clients × 4 queries × 25 executions over fresh
 //! caches) and a **warm pass**, then exits nonzero unless:
 //!
@@ -165,13 +165,11 @@ fn main() {
     }
 
     // Shut down gracefully through the protocol itself — but first scrape
-    // both expositions over the wire: the binary stats frame's gauge lines
-    // and the full Prometheus-style Metrics frame (registry counters, cache
-    // and scheduler gauges, latency histogram buckets, slow-query log).
-    // The marker lines delimit the block ci/check_metrics_format.py
+    // the Prometheus-style Metrics frame over the wire (registry counters,
+    // cache and scheduler gauges, latency histogram buckets, slow-query
+    // log). The marker lines delimit the block ci/check_metrics_format.py
     // validates against the Prometheus line grammar.
     let mut client = Client::connect(addr).expect("shutdown client connects");
-    println!("\n/metrics\n{}", client.stats().expect("stats frame").render_metrics());
     let metrics_text = client.metrics().expect("metrics frame");
     println!("=== METRICS BEGIN ===");
     print!("{metrics_text}");

@@ -73,8 +73,7 @@ fn concurrent_loopback_clients_match_single_threaded_session() {
         }
     });
 
-    let mut client = Client::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
+    let stats = server.stats();
     assert_eq!(stats.rejected(), 0, "nothing was shed below the admission limits");
     assert_eq!(stats.errors, 0);
     assert!(stats.served >= (CLIENTS * ITERATIONS * queries.len()) as u64);
@@ -82,7 +81,7 @@ fn concurrent_loopback_clients_match_single_threaded_session() {
     assert!(stats.p99_us >= stats.p50_us);
     // All 8 clients prepared the same 4 shapes: 4 compiles, the rest hits.
     assert_eq!(stats.cache.plans.misses as usize, queries.len());
-    client.shutdown_server().unwrap();
+    Client::connect(addr).unwrap().shutdown_server().unwrap();
     server.join();
 }
 
@@ -114,7 +113,7 @@ fn queue_capacity_one_sheds_bursts_and_recovers_after_drain() {
     // nonzero retry-after hint derived from the queue depth and recent p50
     // service time — and closes.
     let mut client_c = Client::connect(addr).unwrap();
-    match client_c.stats() {
+    match client_c.metrics() {
         Err(ClientError::Busy { reason: BusyReason::QueueFull, retry_after_ms }) => {
             assert!(retry_after_ms > 0, "the retry-after hint is never zero");
         }
@@ -145,7 +144,7 @@ fn queue_capacity_one_sheds_bursts_and_recovers_after_drain() {
     }
     let (mut client, handle) = recovered.expect("server recovered after the queue drained");
     assert_eq!(client.execute(handle).unwrap().cardinality, expected);
-    let stats = client.stats().unwrap();
+    let stats = server.stats();
     assert!(stats.rejected_queue >= 1, "the burst connection was counted as shed");
 
     client.shutdown_server().unwrap();
@@ -185,7 +184,7 @@ fn byte_budget_sheds_oversized_requests_without_killing_the_connection() {
 
     // The same connection still serves normal requests afterwards.
     assert_eq!(client.execute(handle).unwrap().cardinality, expected);
-    let stats = client.stats().unwrap();
+    let stats = server.stats();
     assert_eq!(stats.rejected_bytes, 1);
 
     client.shutdown_server().unwrap();
@@ -289,13 +288,14 @@ fn prepare_loops_reuse_handles_and_the_registry_is_capped() {
 }
 
 /// The work-stealing scheduler's counters flow end to end — executor →
-/// `ExecStats` → `EngineCaches` → `StatsSnapshot` → the wire stats frame.
-/// Against the skewed-star workload with a parallel session and a small
-/// split threshold, served executions must report spawned tasks, and steals
-/// must show up within a few runs (steal schedules are nondeterministic, so
-/// the test loops executions rather than demanding a steal on the first).
+/// `ExecStats` → `EngineCaches` → `StatsSnapshot` → `Server::stats` and the
+/// wire `Metrics` frame. Against the skewed-star workload with a parallel
+/// session and a small split threshold, served executions must report
+/// spawned tasks, and steals must show up within a few runs (steal
+/// schedules are nondeterministic, so the test loops executions rather than
+/// demanding a steal on the first).
 #[test]
-fn stats_frame_reports_scheduler_counters() {
+fn scheduler_counters_reach_stats_and_the_metrics_frame() {
     let workload = freejoin::workloads::micro::skewed_star(2, 80, 0.9, 37);
     let catalog = Arc::new(workload.catalog);
     let named = &workload.queries[0];
@@ -318,19 +318,27 @@ fn stats_frame_reports_scheduler_counters() {
     let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
     let expected = client.execute(handle).unwrap().cardinality;
 
-    let mut stats = client.stats().unwrap();
+    let mut stats = server.stats();
     for _ in 0..50 {
         if stats.cache.sched.tasks_stolen > 0 {
             break;
         }
         assert_eq!(client.execute(handle).unwrap().cardinality, expected);
-        stats = client.stats().unwrap();
+        stats = server.stats();
     }
     assert!(stats.cache.sched.tasks_spawned > 0, "parallel executions spawned tasks");
     assert!(
         stats.cache.sched.tasks_stolen > 0,
         "a skewed workload with a tiny split threshold steals within a few executions"
     );
+    // The same counters travel over the socket in the metrics frame.
+    let text = client.metrics().unwrap();
+    let stolen = text
+        .lines()
+        .find_map(|l| l.strip_prefix("fj_sched_tasks_stolen "))
+        .and_then(|v| v.parse::<u64>().ok())
+        .expect("the metrics frame carries fj_sched_tasks_stolen");
+    assert!(stolen > 0, "{text}");
     client.shutdown_server().unwrap();
     server.join();
 }
@@ -373,6 +381,15 @@ fn metrics_frame_round_trips_with_histogram_and_slow_queries() {
     assert!(text.lines().any(|l| l.starts_with("fj_sched_")), "{text}");
     assert!(text.contains("fj_serve_latency_us_bucket{le=\"+Inf\"}"), "{text}");
     assert!(text.contains("fj_serve_latency_us_count"), "{text}");
+    // Both are bumped before each response is written, so a quiescent
+    // scrape sees every served request in the latency histogram.
+    let series = |name: &str| -> u64 {
+        let prefix = format!("{name} ");
+        let line = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
+        line.and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {text}"))
+    };
+    assert_eq!(series("fj_serve_latency_us_count"), series("fj_serve_requests_served"));
     // The slow-query log rides along as comments with per-node profiles.
     assert!(text.contains("# slow_query handle="), "{text}");
     assert!(text.contains("est="), "profile lines carry optimizer estimates: {text}");
@@ -499,7 +516,7 @@ fn shutdown_drains_and_refuses_new_connections() {
     match Client::connect(addr) {
         Err(_) => {}
         Ok(mut late) => {
-            assert!(late.stats().is_err(), "a post-shutdown connection must not be served")
+            assert!(late.metrics().is_err(), "a post-shutdown connection must not be served")
         }
     }
 }

@@ -45,7 +45,7 @@
 //!
 //! Since schema_version 7 every row carries `profile_overhead_pct` — the
 //! warm wall-time cost of running with the per-node query profiler on
-//! (`FreeJoinOptions::profile`), measured batch-against-batch on the
+//! (`ExecRequest::profile`), measured batch-against-batch on the
 //! clover COLT serial row and `0.0` everywhere else. CI's schema gate
 //! fails if the measured overhead reaches 5%, pinning the profiler's
 //! cheap-when-on contract (its off-cost is pinned separately, by the
@@ -62,20 +62,21 @@
 //!
 //! Since schema_version 9 every row carries `trace_overhead_pct` — the
 //! warm wall-time cost of running with span tracing on
-//! (`FreeJoinOptions::trace`, via `Prepared::execute_traced`), measured
-//! with the same burst-robust paired estimator as `profile_overhead_pct`
-//! on the clover COLT serial row and `0.0` everywhere else. CI's schema
-//! gate fails at ≥ 5%, pinning the tracer's cheap-when-on contract (its
-//! off-cost is pinned separately, by the counting-allocator test in
-//! `tests/trace_invariants.rs`).
+//! (`ExecRequest::trace`), measured with the same burst-robust paired
+//! estimator as `profile_overhead_pct` on the clover COLT serial row and
+//! `0.0` everywhere else. CI's schema gate fails at ≥ 5%, pinning the
+//! tracer's cheap-when-on contract (its off-cost is pinned separately, by
+//! the counting-allocator test in `tests/trace_invariants.rs`).
 //!
 //! Since schema_version 10 every row carries `cancel_check_overhead_pct` —
 //! the warm wall-time cost of executing under a live (armed, far-future
-//! deadline) `CancelToken` versus the plain path whose disabled token
+//! deadline) `ExecRequest::token` versus the plain path whose disabled token
 //! short-circuits every cooperative check, measured with the same paired
 //! estimator on the clover COLT serial row and `0.0` everywhere else. CI's
 //! schema gate fails at ≥ 2%: the serving path arms a token on every
 //! deadline-carrying request, so the checks must stay effectively free.
+//! All three columns come from one estimator, [`overhead_pct`], fed the
+//! `ExecRequest` that switches the measured instrument on.
 //! The JSON is written by hand — the workspace's offline `serde` stand-in
 //! does not serialize — and the schema is deliberately flat:
 //!
@@ -96,7 +97,7 @@ use fj_query::ExecStats;
 use fj_serve::{Client, Server, ServerConfig};
 use fj_workloads::job::{self, JobConfig};
 use fj_workloads::{micro, Workload};
-use free_join::{CancelToken, EngineCaches, FreeJoinOptions, Params, Session, TrieStrategy};
+use free_join::{CancelToken, EngineCaches, ExecRequest, FreeJoinOptions, Session, TrieStrategy};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -270,12 +271,17 @@ fn measure_serving(
     )
 }
 
-/// Warm profiled-vs-unprofiled overhead (schema_version 7): the same
-/// prepared query executed in batches over warm caches, profile off vs on,
-/// best batch of each. Batching amortizes timer resolution on a
-/// sub-millisecond query; best-of keeps scheduler noise out. Floored at 0
-/// (noise can make the profiled batch win).
-fn profile_overhead_pct(workload: &Workload) -> f64 {
+/// Warm wall-time overhead, percent, of executing with `request`'s
+/// instruments on — profiling (schema_version 7), span tracing (9) or a
+/// live far-future-deadline cancel token (10) — against the plain
+/// `Prepared::execute` path, whose disabled token and switched-off
+/// instruments cost one branch per site. The same prepared query runs in
+/// batches over warm caches; batching amortizes timer resolution on a
+/// sub-millisecond query. The two kinds are paired within each round and
+/// the *minimum per-round overhead* is reported: a background burst
+/// inflates some rounds' pairs, but a genuine regression lifts every
+/// round. Floored at 0 (noise can make the instrumented batch win).
+fn overhead_pct(workload: &Workload, request: &ExecRequest) -> f64 {
     const BATCH: usize = 200;
     const ROUNDS: usize = 14;
     let session = Session::new(Arc::new(EngineCaches::with_defaults()))
@@ -285,126 +291,25 @@ fn profile_overhead_pct(workload: &Workload) -> f64 {
     for _ in 0..5 {
         prepared.execute(&workload.catalog).expect("overhead warm-up executes");
         prepared
-            .execute_profiled(&workload.catalog, &Params::new())
-            .expect("overhead warm-up executes profiled");
+            .run(&workload.catalog, request)
+            .expect("overhead warm-up runs instrumented");
     }
-    let batch_ms = |profiled: bool| {
+    let batch_ms = |instrumented: bool| {
         let start = Instant::now();
         for _ in 0..BATCH {
-            if profiled {
-                prepared
-                    .execute_profiled(&workload.catalog, &Params::new())
-                    .expect("profiled execution succeeds");
+            if instrumented {
+                prepared.run(&workload.catalog, request).expect("instrumented run succeeds");
             } else {
                 prepared.execute(&workload.catalog).expect("plain execution succeeds");
             }
         }
         ms(start.elapsed())
     };
-    // Pair the two kinds within each round and report the *minimum
-    // per-round overhead*: a background burst inflates some rounds' pairs
-    // but a genuine profiler regression lifts every round, so the minimum
-    // tracks the true overhead while shrugging off bursts that
-    // independent min-of-batches (the previous scheme) mistook for
-    // overhead whenever a burst landed on a profiled phase.
     let mut overhead = f64::INFINITY;
     for _ in 0..ROUNDS {
         let plain = batch_ms(false);
-        let profiled = batch_ms(true);
-        overhead = overhead.min(100.0 * (profiled - plain) / plain);
-    }
-    overhead.max(0.0)
-}
-
-/// Warm traced-vs-untraced overhead (schema_version 9): the same
-/// burst-robust paired estimator as [`profile_overhead_pct`], with the
-/// span-tracing path (`Prepared::execute_traced`) on the measured side.
-/// This prices tracing when it is *on* — every task/steal/split and trie
-/// fetch pushing a POD event into a bounded per-worker ring — while the
-/// off-cost (exactly zero allocations) is pinned by the counting-allocator
-/// test in `tests/trace_invariants.rs`.
-fn trace_overhead_pct(workload: &Workload) -> f64 {
-    const BATCH: usize = 200;
-    const ROUNDS: usize = 14;
-    let session = Session::new(Arc::new(EngineCaches::with_defaults()))
-        .with_options(FreeJoinOptions::default().with_num_threads(1));
-    let named = &workload.queries[0];
-    let prepared = session.prepare(&workload.catalog, &named.query).expect("overhead prepares");
-    for _ in 0..5 {
-        prepared.execute(&workload.catalog).expect("overhead warm-up executes");
-        prepared
-            .execute_traced(&workload.catalog, &Params::new())
-            .expect("overhead warm-up executes traced");
-    }
-    let batch_ms = |traced: bool| {
-        let start = Instant::now();
-        for _ in 0..BATCH {
-            if traced {
-                prepared
-                    .execute_traced(&workload.catalog, &Params::new())
-                    .expect("traced execution succeeds");
-            } else {
-                prepared.execute(&workload.catalog).expect("plain execution succeeds");
-            }
-        }
-        ms(start.elapsed())
-    };
-    // Same rationale as profile_overhead_pct: pair the two kinds within
-    // each round and take the minimum per-round overhead, so background
-    // bursts cancel instead of being billed to the tracer.
-    let mut overhead = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let plain = batch_ms(false);
-        let traced = batch_ms(true);
-        overhead = overhead.min(100.0 * (traced - plain) / plain);
-    }
-    overhead.max(0.0)
-}
-
-/// Warm live-token-vs-plain overhead (schema_version 10): the same
-/// burst-robust paired estimator as [`profile_overhead_pct`], with
-/// `Prepared::execute_cancellable` under a live far-future-deadline token on
-/// the measured side. The plain side's disabled token short-circuits every
-/// cooperative check to one branch; the live side actually polls the shared
-/// atomics (and the clock, at deadline checks) at task/morsel/flush
-/// boundaries. CI gates the result < 2%: the serving path arms a token on
-/// every deadline-carrying request, so the checks must stay effectively
-/// free.
-fn cancel_check_overhead_pct(workload: &Workload) -> f64 {
-    const BATCH: usize = 200;
-    const ROUNDS: usize = 14;
-    let session = Session::new(Arc::new(EngineCaches::with_defaults()))
-        .with_options(FreeJoinOptions::default().with_num_threads(1));
-    let named = &workload.queries[0];
-    let prepared = session.prepare(&workload.catalog, &named.query).expect("overhead prepares");
-    let token = CancelToken::with_deadline(Duration::from_secs(3600));
-    for _ in 0..5 {
-        prepared.execute(&workload.catalog).expect("overhead warm-up executes");
-        prepared
-            .execute_cancellable(&workload.catalog, &Params::new(), &token)
-            .expect("overhead warm-up executes cancellable");
-    }
-    let batch_ms = |cancellable: bool| {
-        let start = Instant::now();
-        for _ in 0..BATCH {
-            if cancellable {
-                prepared
-                    .execute_cancellable(&workload.catalog, &Params::new(), &token)
-                    .expect("cancellable execution succeeds");
-            } else {
-                prepared.execute(&workload.catalog).expect("plain execution succeeds");
-            }
-        }
-        ms(start.elapsed())
-    };
-    // Same rationale as profile_overhead_pct: pair the two kinds within
-    // each round and take the minimum per-round overhead, so background
-    // bursts cancel instead of being billed to the cancellation checks.
-    let mut overhead = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let plain = batch_ms(false);
-        let cancellable = batch_ms(true);
-        overhead = overhead.min(100.0 * (cancellable - plain) / plain);
+        let instrumented = batch_ms(true);
+        overhead = overhead.min(100.0 * (instrumented - plain) / plain);
     }
     overhead.max(0.0)
 }
@@ -590,13 +495,17 @@ fn main() {
                 .with_num_threads(1);
             let mut record = Record { skew: *skew, ..measure(workload, options) };
             if label.starts_with("clover") && matches!(strategy, TrieStrategy::Colt) {
-                record.profile_overhead_pct = profile_overhead_pct(workload);
-                eprintln!("  profiled execution overhead: {:.2}%", record.profile_overhead_pct);
-                record.trace_overhead_pct = trace_overhead_pct(workload);
-                eprintln!("  traced execution overhead: {:.2}%", record.trace_overhead_pct);
-                record.cancel_check_overhead_pct = cancel_check_overhead_pct(workload);
+                let profiled = ExecRequest { profile: true, ..ExecRequest::default() };
+                let traced = ExecRequest { trace: true, ..ExecRequest::default() };
+                let token = CancelToken::with_deadline(Duration::from_secs(3600));
+                let live = ExecRequest { token, ..ExecRequest::default() };
+                record.profile_overhead_pct = overhead_pct(workload, &profiled);
+                record.trace_overhead_pct = overhead_pct(workload, &traced);
+                record.cancel_check_overhead_pct = overhead_pct(workload, &live);
                 eprintln!(
-                    "  cancellation-check overhead: {:.2}%",
+                    "  overhead: profiled {:.2}%, traced {:.2}%, cancellation checks {:.2}%",
+                    record.profile_overhead_pct,
+                    record.trace_overhead_pct,
                     record.cancel_check_overhead_pct
                 );
             }
@@ -700,11 +609,10 @@ fn main() {
                 workload's skew knob (Zipf theta, or the hot-key share for star_hotkey, \
                 whose >1-thread rows exercise the recursive-split work-stealing scheduler); \
                 profile_overhead_pct is the warm wall-time cost of per-node profiling \
-                (FreeJoinOptions::profile), batch-measured on the clover colt serial row \
+                (ExecRequest::profile), batch-measured on the clover colt serial row \
                 and 0.0 elsewhere — CI fails the build at >= 5%; trace_overhead_pct is \
-                the warm wall-time cost of span tracing (FreeJoinOptions::trace via \
-                Prepared::execute_traced), measured with the same paired estimator on \
-                the same clover colt serial row and 0.0 elsewhere — CI fails the build \
+                the warm wall-time cost of span tracing (ExecRequest::trace), measured \
+                with the same paired estimator on the same clover colt serial row and 0.0 elsewhere — CI fails the build \
                 at >= 5%, and the trace-off path is separately pinned to zero \
                 allocations by tests/trace_invariants.rs; exec marks the executor \
                 mode: static is the optimized plan order, adaptive is per-binding probe \
@@ -714,7 +622,7 @@ fn main() {
                 requires adaptive >= 20% faster), star_hotkey, and clover (the uniform \
                 control; CI requires adaptive < 5% slower); cancel_check_overhead_pct is \
                 the warm wall-time cost of executing under a live far-future-deadline \
-                CancelToken (Prepared::execute_cancellable) versus the plain path whose \
+                CancelToken (ExecRequest::token) versus the plain path whose \
                 disabled token short-circuits every cooperative check, measured with the \
                 same paired estimator on the same clover colt serial row and 0.0 \
                 elsewhere — CI fails the build at >= 2%";

@@ -55,7 +55,7 @@ use crate::protocol::{write_frame, BusyReason, Request, Response};
 use fj_obs::{chaos, Counter, MetricsRegistry, QueryProfile, TraceBuf, TraceCat, SESSION_WORKER};
 use fj_query::{parse_filter, parse_query, Aggregate, ConjunctiveQuery, QueryError};
 use fj_storage::Catalog;
-use free_join::{CancelReason, CancelToken, EngineError, Params, Prepared, Session};
+use free_join::{CancelReason, CancelToken, EngineError, ExecRequest, Params, Prepared, Session};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -266,6 +266,19 @@ struct StoredTrace {
     service_us: u64,
     span_tree: String,
     chrome_json: String,
+}
+
+impl StoredTrace {
+    /// The `Trace` reply carrying this trace.
+    fn into_response(self) -> Response {
+        Response::Trace {
+            trace_id: self.trace_id,
+            cardinality: self.cardinality,
+            service_us: self.service_us,
+            span_tree: self.span_tree,
+            chrome_json: self.chrome_json,
+        }
+    }
 }
 
 /// The bounded prepared-handle registry: identical re-prepares reuse the
@@ -993,10 +1006,10 @@ fn handle_request(shared: &Shared, payload: &[u8]) -> (Response, bool) {
     match request {
         Request::Prepare { query, aggregate } => (prepare(shared, &query, aggregate), false),
         Request::Execute { handle, params, request_id, deadline_ms } => {
-            (execute(shared, handle, &params, request_id, deadline_ms), false)
+            (execute(shared, handle, &params, request_id, deadline_ms, false), false)
         }
         Request::TraceExecute { handle, params, request_id, deadline_ms } => {
-            (trace_execute(shared, handle, &params, request_id, deadline_ms), false)
+            (execute(shared, handle, &params, request_id, deadline_ms, true), false)
         }
         Request::Cancel { request_id } => (cancel_inflight(shared, request_id), false),
         Request::TraceFetch { trace_id } => (fetch_trace(shared, trace_id), false),
@@ -1057,17 +1070,13 @@ impl Drop for CancelRegistration<'_> {
 /// Map an engine error to its typed response, bumping the deadline /
 /// cancellation counters when the execution unwound cooperatively.
 fn typed_error(shared: &Shared, e: &EngineError) -> Response {
-    Response::Error { message: typed_error_message(shared, e) }
-}
-
-fn typed_error_message(shared: &Shared, e: &EngineError) -> String {
     if let EngineError::Query(QueryError::Cancelled { reason, .. }) = e {
         match reason {
             CancelReason::Deadline => shared.metrics.deadline_exceeded.inc(),
             _ => shared.metrics.cancellations.inc(),
         }
     }
-    e.to_string()
+    Response::Error { message: e.to_string() }
 }
 
 fn prepare(shared: &Shared, query_text: &str, aggregate: Aggregate) -> Response {
@@ -1093,201 +1102,107 @@ fn prepare(shared: &Shared, query_text: &str, aggregate: Aggregate) -> Response 
     Response::Prepared { handle, fingerprint }
 }
 
-/// Resolve a handle and parse its parameter overrides, or produce the
-/// typed `Error` response both execute paths return on failure.
-fn resolve(
-    shared: &Shared,
-    handle: u64,
-    params: &[(String, String)],
-) -> Result<(Arc<Prepared>, Params), Response> {
-    let prepared = {
-        let registry = shared.prepared.read().expect("prepared registry lock not poisoned");
-        match registry.get(handle) {
-            Some(prepared) => prepared,
-            None => {
-                return Err(Response::Error {
-                    message: format!("unknown prepared handle {handle}"),
-                })
-            }
-        }
-    };
-    let mut overrides = Params::new();
-    for (alias, filter_text) in params {
-        match parse_filter(filter_text) {
-            Ok(filter) => overrides = overrides.with_filter(alias.clone(), filter),
-            Err(e) => {
-                return Err(Response::Error {
-                    message: format!("parameter filter for {alias}: {e}"),
-                })
-            }
-        }
-    }
-    Ok((prepared, overrides))
-}
-
+/// Serve one `Execute` (or, with `explicit`, `TraceExecute`) request with a
+/// single engine run. The request's token is armed from its deadline and
+/// registered for `Cancel` frames. The run is profiled whenever the
+/// slow-query log is on: the profile must already exist by the time the
+/// execution turns out to have been slow (the per-node accumulators are
+/// flat arrays, so this costs a few percent — `bench_json`'s
+/// `profile_overhead_pct` column pins it). It is traced when the client
+/// asked for it or `trace_sample_n` sampling picked it. A traced run is
+/// wrapped in a serve-layer lifecycle ring, rendered, and retained in the
+/// trace ring. Every run is then offered to the slow-query log with its
+/// profile and trace id. Only an explicit trace answers with the trace;
+/// a sampled one still answers with a plain `Answer`.
 fn execute(
     shared: &Shared,
     handle: u64,
     params: &[(String, String)],
     request_id: u64,
     deadline_ms: u64,
+    explicit: bool,
 ) -> Response {
-    let (prepared, overrides) = match resolve(shared, handle, params) {
-        Ok(resolved) => resolved,
-        Err(response) => return response,
+    let prepared = shared.prepared.read().expect("prepared registry lock not poisoned").get(handle);
+    let Some(prepared) = prepared else {
+        return Response::Error { message: format!("unknown prepared handle {handle}") };
     };
-    let token = shared.arm_token(request_id, deadline_ms);
-    if !token.is_disabled() {
-        // The cancellable path: registered for `Cancel` frames while it
-        // runs, skipping sampling/profiling (a deadlined request wants the
-        // result or the typed error, not observability side quests).
-        let _registration = CancelRegistration::register(shared, request_id, &token);
-        return match prepared.execute_cancellable(&shared.catalog, &overrides, &token) {
-            Ok((output, stats)) => Response::Answer {
-                cardinality: output.cardinality(),
-                tries_built: stats.tries_built,
-                service_us: 0, // stamped by the connection loop, which owns the clock
-            },
-            Err(e) => typed_error(shared, &e),
-        };
-    }
-    // `trace_sample_n` sampling: every Nth execute runs traced; the client
-    // still gets a plain `Answer`, the rendered trace lands in the ring.
-    let seq = shared.execute_seq.fetch_add(1, Ordering::Relaxed);
-    let n = shared.config.trace_sample_n as u64;
-    if n > 0 && seq.is_multiple_of(n) {
-        return match run_traced(shared, handle, &prepared, &overrides, params.len() as u64, &token)
-        {
-            Ok((stored, tries_built)) => Response::Answer {
-                cardinality: stored.cardinality,
-                tries_built,
-                service_us: 0, // stamped by the connection loop, which owns the clock
-            },
-            Err(message) => Response::Error { message },
-        };
-    }
-    // With the slow-query log enabled (the default) every execution runs
-    // profiled — the profile must already exist by the time the execution
-    // turns out to have been slow. The accumulators are flat per-node
-    // arrays, so the overhead is a few percent (pinned by `bench_json`'s
-    // `profile_overhead_pct` column and its CI gate).
-    if shared.config.slow_query_log > 0 {
-        let start = Instant::now();
-        match prepared.execute_profiled(&shared.catalog, &overrides) {
-            Ok((output, stats, profile)) => {
-                let engine_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                let cardinality = output.cardinality();
-                let fingerprint = prepared.fingerprint();
-                shared.note_slow_query(handle, fingerprint, engine_us, cardinality, profile, None);
-                Response::Answer {
-                    cardinality,
-                    tries_built: stats.tries_built,
-                    service_us: 0, // stamped by the connection loop, which owns the clock
-                }
+    let mut overrides = Params::new();
+    for (alias, filter_text) in params {
+        match parse_filter(filter_text) {
+            Ok(filter) => overrides = overrides.with_filter(alias.clone(), filter),
+            Err(e) => {
+                return Response::Error { message: format!("parameter filter for {alias}: {e}") }
             }
-            Err(e) => typed_error(shared, &e),
-        }
-    } else {
-        match prepared.execute_with(&shared.catalog, &overrides) {
-            Ok((output, stats)) => Response::Answer {
-                cardinality: output.cardinality(),
-                tries_built: stats.tries_built,
-                service_us: 0, // stamped by the connection loop, which owns the clock
-            },
-            Err(e) => typed_error(shared, &e),
         }
     }
-}
-
-/// Run one traced execution: tracing forced on for this request, the
-/// engine trace wrapped in a serve-layer lifecycle ring
-/// (request/decode/execute/respond spans), both views rendered, the result
-/// retained in the trace ring and noted in the slow-query log. Returns the
-/// stored trace plus the execution's `tries_built`.
-fn run_traced(
-    shared: &Shared,
-    handle: u64,
-    prepared: &Prepared,
-    overrides: &Params,
-    n_params: u64,
-    token: &CancelToken,
-) -> Result<(StoredTrace, u64), String> {
+    let n = shared.config.trace_sample_n as u64;
+    let sampled =
+        !explicit && n > 0 && shared.execute_seq.fetch_add(1, Ordering::Relaxed).is_multiple_of(n);
+    let request = ExecRequest {
+        params: overrides,
+        token: shared.arm_token(request_id, deadline_ms),
+        profile: shared.config.slow_query_log > 0,
+        trace: explicit || sampled,
+    };
+    let _registration = CancelRegistration::register(shared, request_id, &request.token);
     // The serve-layer lifecycle ring is built around the execution so its
     // timestamps stay monotone and the execute span has real extent. It is
     // appended AFTER the engine's session ring, so the canonical span tree
     // still renders from the query span; these spans only appear in the
     // Chrome timeline.
-    let mut tb = TraceBuf::with_capacity(8, SESSION_WORKER);
-    tb.begin(TraceCat::Request, 0, handle, &[]);
-    tb.instant(TraceCat::Decode, 0, n_params, &[]);
-    tb.begin(TraceCat::Execute, 0, 0, &[]);
+    let mut lifecycle = request.trace.then(|| TraceBuf::with_capacity(8, SESSION_WORKER));
+    if let Some(tb) = lifecycle.as_mut() {
+        tb.begin(TraceCat::Request, 0, handle, &[]);
+        tb.instant(TraceCat::Decode, 0, params.len() as u64, &[]);
+        tb.begin(TraceCat::Execute, 0, 0, &[]);
+    }
     let start = Instant::now();
-    let (output, stats, mut trace) = prepared
-        .execute_traced_cancellable(&shared.catalog, overrides, token)
-        .map_err(|e| typed_error_message(shared, &e))?;
-    let service_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let cardinality = output.cardinality();
-    let trace_id = shared.next_trace_id.fetch_add(1, Ordering::Relaxed);
-    trace.trace_id = trace_id;
-    shared.trace_events_dropped.add(trace.dropped_events());
-    tb.end(TraceCat::Execute, 0, cardinality);
-    tb.instant(TraceCat::Respond, 0, service_us, &[]);
-    tb.end(TraceCat::Request, 0, cardinality);
-    trace.attach(tb);
-
-    let stored = StoredTrace {
-        trace_id,
-        cardinality,
-        service_us,
-        span_tree: trace.span_tree(),
-        chrome_json: trace.to_chrome_json(),
+    let report = match prepared.run(&shared.catalog, &request) {
+        Ok(report) => report,
+        Err(e) => return typed_error(shared, &e),
     };
-    shared.store_trace(stored.clone());
+    let service_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let cardinality = report.output.cardinality();
+    let stored = report.trace.map(|mut trace| {
+        trace.trace_id = shared.next_trace_id.fetch_add(1, Ordering::Relaxed);
+        shared.trace_events_dropped.add(trace.dropped_events());
+        if let Some(mut tb) = lifecycle {
+            tb.end(TraceCat::Execute, 0, cardinality);
+            tb.instant(TraceCat::Respond, 0, service_us, &[]);
+            tb.end(TraceCat::Request, 0, cardinality);
+            trace.attach(tb);
+        }
+        let stored = StoredTrace {
+            trace_id: trace.trace_id,
+            cardinality,
+            service_us,
+            span_tree: trace.span_tree(),
+            chrome_json: trace.to_chrome_json(),
+        };
+        shared.store_trace(stored.clone());
+        stored
+    });
     shared.note_slow_query(
         handle,
         prepared.fingerprint(),
         service_us,
         cardinality,
-        QueryProfile::default(),
-        Some(trace_id),
+        report.profile.unwrap_or_default(),
+        stored.as_ref().map(|t| t.trace_id),
     );
-    Ok((stored, stats.tries_built))
-}
-
-fn trace_execute(
-    shared: &Shared,
-    handle: u64,
-    params: &[(String, String)],
-    request_id: u64,
-    deadline_ms: u64,
-) -> Response {
-    let (prepared, overrides) = match resolve(shared, handle, params) {
-        Ok(resolved) => resolved,
-        Err(response) => return response,
-    };
-    let token = shared.arm_token(request_id, deadline_ms);
-    let _registration = CancelRegistration::register(shared, request_id, &token);
-    match run_traced(shared, handle, &prepared, &overrides, params.len() as u64, &token) {
-        Ok((stored, _tries_built)) => Response::Trace {
-            trace_id: stored.trace_id,
-            cardinality: stored.cardinality,
-            service_us: stored.service_us,
-            span_tree: stored.span_tree,
-            chrome_json: stored.chrome_json,
+    match stored {
+        Some(stored) if explicit => stored.into_response(),
+        _ => Response::Answer {
+            cardinality,
+            tries_built: report.stats.tries_built,
+            service_us: 0, // stamped by the connection loop, which owns the clock
         },
-        Err(message) => Response::Error { message },
     }
 }
 
 fn fetch_trace(shared: &Shared, trace_id: u64) -> Response {
     match shared.find_trace(trace_id) {
-        Some(stored) => Response::Trace {
-            trace_id: stored.trace_id,
-            cardinality: stored.cardinality,
-            service_us: stored.service_us,
-            span_tree: stored.span_tree,
-            chrome_json: stored.chrome_json,
-        },
+        Some(stored) => stored.into_response(),
         None => Response::Error { message: format!("unknown or evicted trace id {trace_id}") },
     }
 }
@@ -1412,8 +1327,9 @@ mod tests {
         assert_eq!(shared.allow(None), Ok(()), "unaddressed peers are admitted");
     }
 
-    #[test]
-    fn slow_query_ring_is_bounded_and_feeds_the_metrics_text() {
+    /// A server state whose handle 7 is prepared on a 64-row self-join of a
+    /// 16-row relation.
+    fn shared_with_handle_7(config: ServerConfig) -> Shared {
         use fj_query::QueryBuilder;
         use fj_storage::{RelationBuilder, Schema};
 
@@ -1423,8 +1339,6 @@ mod tests {
             r.push_ints(&[i % 4, (i + 1) % 4]).unwrap();
         }
         catalog.add(r.finish()).unwrap();
-        // Threshold 0 µs: every execution is "slow". Ring capacity 2.
-        let config = ServerConfig { slow_query_us: 0, slow_query_log: 2, ..Default::default() };
         let shared = test_shared(catalog, config);
         let query = QueryBuilder::new("q")
             .atom_as("r", "r1", &["x", "y"])
@@ -1433,9 +1347,17 @@ mod tests {
             .build();
         let prepared = shared.session.prepare(&shared.catalog, &query).unwrap();
         shared.prepared.write().unwrap().insert(7, Arc::new(prepared), 8);
+        shared
+    }
+
+    #[test]
+    fn slow_query_ring_is_bounded_and_feeds_the_metrics_text() {
+        // Threshold 0 µs: every execution is "slow". Ring capacity 2.
+        let config = ServerConfig { slow_query_us: 0, slow_query_log: 2, ..Default::default() };
+        let shared = shared_with_handle_7(config);
 
         for _ in 0..3 {
-            let response = execute(&shared, 7, &[], 0, 0);
+            let response = execute(&shared, 7, &[], 0, 0, false);
             assert!(matches!(response, Response::Answer { cardinality: 64, .. }), "{response:?}");
         }
         assert_eq!(shared.metrics.slow_queries.get(), 3);
@@ -1464,5 +1386,33 @@ mod tests {
         off.note_slow_query(1, 0, u64::MAX, 0, QueryProfile::default(), None);
         assert_eq!(off.metrics.slow_queries.get(), 0);
         assert!(off.slow_queries.lock().unwrap().is_empty());
+    }
+
+    /// A deadlined request takes the same profiled path as any other: it
+    /// lands in the slow-query log with its per-node profile.
+    #[test]
+    fn deadlined_executions_reach_the_slow_query_log_with_a_profile() {
+        let shared = shared_with_handle_7(ServerConfig { slow_query_us: 0, ..Default::default() });
+        let response = execute(&shared, 7, &[], 0, 60_000, false);
+        assert!(matches!(response, Response::Answer { cardinality: 64, .. }), "{response:?}");
+        let log = shared.slow_queries.lock().unwrap();
+        assert_eq!(log.len(), 1);
+        assert!(log[0].profile.total_probes() > 0, "deadlined run was not profiled");
+        assert_eq!(log[0].trace_id, None);
+    }
+
+    /// A sampled execution is both traced and profiled: its slow-query
+    /// entry names the trace and carries the profile.
+    #[test]
+    fn sampled_executions_carry_their_trace_id_and_profile() {
+        let config = ServerConfig { slow_query_us: 0, trace_sample_n: 1, ..Default::default() };
+        let shared = shared_with_handle_7(config);
+        let response = execute(&shared, 7, &[], 0, 0, false);
+        assert!(matches!(response, Response::Answer { cardinality: 64, .. }), "{response:?}");
+        let log = shared.slow_queries.lock().unwrap();
+        assert_eq!(log.len(), 1);
+        let trace_id = log[0].trace_id.expect("sampled run names its trace");
+        assert!(shared.find_trace(trace_id).is_some(), "trace retained in the ring");
+        assert!(log[0].profile.total_probes() > 0, "sampled run was not profiled");
     }
 }

@@ -18,17 +18,16 @@
 //! 3. `join_pipeline` runs one compiled pipeline over its tries and emits
 //!    the output (or a materialized intermediate for bushy plans).
 
-use crate::cancel::CancelToken;
-use crate::compile::{compile, compile_query, CompiledPlan};
+use crate::compile::{compile, compile_query, CompiledPipeline, CompiledPlan, CompiledQuery};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{execute_pipeline_parallel_cancellable, ExecCounters};
+use crate::exec::{execute_pipeline_parallel_cancellable, ExecControl, ExecCounters};
 use crate::options::FreeJoinOptions;
 use crate::prep::{materialize_intermediate, prepare_inputs, BoundInput};
 use crate::sink::{MaterializeSink, OutputSink};
 use crate::trie::InputTrie;
 use fj_obs::{ProfileSheet, TraceBuf};
 use fj_plan::{optimize, BinaryPlan, CatalogStats, FreeJoinPlan, OptimizerOptions, PipeInput};
-use fj_query::{CancelReason, ConjunctiveQuery, ExecStats, OutputBuilder, QueryError, QueryOutput};
+use fj_query::{ConjunctiveQuery, ExecStats, OutputBuilder, QueryOutput};
 use fj_storage::{Catalog, DataType};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,15 +78,42 @@ impl FreeJoinEngine {
         if !plan.covers_query(query) {
             return Err(EngineError::PlanDoesNotCoverQuery);
         }
-        let compiled = compile_query(query, plan, &self.options)?;
+        self.run_compiled(catalog, query, &compile_query(query, plan, &self.options)?)
+    }
+
+    /// Execute a hand-written Free Join plan over the atoms of a query
+    /// (single pipeline, inputs in atom order). This exposes the full design
+    /// space of Figure 1 to callers who want to run a specific plan.
+    pub fn execute_fj_plan(
+        &self,
+        catalog: &Catalog,
+        query: &ConjunctiveQuery,
+        fj_plan: &FreeJoinPlan,
+    ) -> EngineResult<(QueryOutput, ExecStats)> {
+        let input_vars: Vec<Vec<String>> = query.atoms.iter().map(|a| a.vars.clone()).collect();
+        let pipeline = CompiledPipeline {
+            inputs: (0..query.atoms.len()).map(PipeInput::Atom).collect(),
+            fj_plan: fj_plan.clone(),
+            plan: compile(fj_plan, &input_vars)?,
+        };
+        self.run_compiled(catalog, query, &CompiledQuery { pipelines: vec![pipeline] })
+    }
+
+    /// The pipeline loop behind both entry points: bind and filter every
+    /// atom, then run the pipelines in dependency order over freshly built
+    /// tries, feeding each non-final pipeline's materialized intermediate to
+    /// its consumer.
+    fn run_compiled(
+        &self,
+        catalog: &Catalog,
+        query: &ConjunctiveQuery,
+        compiled: &CompiledQuery,
+    ) -> EngineResult<(QueryOutput, ExecStats)> {
         let prepared = prepare_inputs(catalog, query)?;
-        let token = self.options.cancel_token();
         let mut stats =
             ExecStats { selection_time: prepared.selection_time, ..ExecStats::default() };
-
         let mut intermediates: Vec<Option<BoundInput>> = vec![None; compiled.pipelines.len()];
         let mut output = None;
-
         for (p, pipeline) in compiled.pipelines.iter().enumerate() {
             let inputs: Vec<BoundInput> = pipeline
                 .inputs
@@ -100,28 +126,19 @@ impl FreeJoinEngine {
                 })
                 .collect();
             let tries = build_tries(&inputs, &pipeline.plan.schemas, &self.options, &mut stats);
-
-            let is_final = p == compiled.root_pipeline();
-            let pipeline_result = join_pipeline(
-                &tries,
-                &pipeline.plan,
-                &self.options,
-                query,
-                is_final,
-                &prepared.var_types,
-                &mut stats,
-                &mut ProfileSheet::disabled(),
-                &mut Vec::new(),
-                &token,
-            )?;
+            let target = if p == compiled.root_pipeline() {
+                PipelineTarget::Output(query)
+            } else {
+                PipelineTarget::Intermediate(&prepared.var_types)
+            };
+            let control = ExecControl::default();
+            let (result, _, _) =
+                join_pipeline(&tries, &pipeline.plan, &self.options, &control, target, &mut stats)?;
             for trie in &tries {
                 stats.tries_built += trie.maps_built();
                 stats.lazy_expansions += trie.lazy_built();
             }
-            if let Some(reason) = token.poll() {
-                return Err(cancelled(reason, &stats));
-            }
-            match pipeline_result {
+            match result {
                 PipelineResult::Output(out) => output = Some(out),
                 PipelineResult::Intermediate(bound) => {
                     stats.intermediate_tuples += bound.num_rows() as u64;
@@ -129,61 +146,10 @@ impl FreeJoinEngine {
                 }
             }
         }
-
         let output = output.expect("the final pipeline produces the output");
         stats.output_tuples = output.cardinality();
         Ok((output, stats))
     }
-
-    /// Execute a hand-written Free Join plan over the atoms of a query
-    /// (single pipeline, inputs in atom order). This exposes the full design
-    /// space of Figure 1 to callers who want to run a specific plan.
-    pub fn execute_fj_plan(
-        &self,
-        catalog: &Catalog,
-        query: &ConjunctiveQuery,
-        fj_plan: &FreeJoinPlan,
-    ) -> EngineResult<(QueryOutput, ExecStats)> {
-        let prepared = prepare_inputs(catalog, query)?;
-        let token = self.options.cancel_token();
-        let mut stats =
-            ExecStats { selection_time: prepared.selection_time, ..ExecStats::default() };
-        let input_vars: Vec<Vec<String>> = prepared.atoms.iter().map(|i| i.vars.clone()).collect();
-        let compiled = compile(fj_plan, &input_vars)?;
-        let tries = build_tries(&prepared.atoms, &compiled.schemas, &self.options, &mut stats);
-        let result = join_pipeline(
-            &tries,
-            &compiled,
-            &self.options,
-            query,
-            true,
-            &prepared.var_types,
-            &mut stats,
-            &mut ProfileSheet::disabled(),
-            &mut Vec::new(),
-            &token,
-        )?;
-        for trie in &tries {
-            stats.tries_built += trie.maps_built();
-            stats.lazy_expansions += trie.lazy_built();
-        }
-        if let Some(reason) = token.poll() {
-            return Err(cancelled(reason, &stats));
-        }
-        match result {
-            PipelineResult::Output(output) => {
-                stats.output_tuples = output.cardinality();
-                Ok((output, stats))
-            }
-            PipelineResult::Intermediate(_) => unreachable!("final pipeline yields output"),
-        }
-    }
-}
-
-/// The typed error for a cooperatively cancelled execution, carrying the
-/// stats accumulated up to the trip.
-pub(crate) fn cancelled(reason: CancelReason, stats: &ExecStats) -> EngineError {
-    EngineError::Query(QueryError::Cancelled { reason, partial_stats: Box::new(stats.clone()) })
 }
 
 /// Build one trie per pipeline input with the configured strategy, charging
@@ -234,94 +200,97 @@ pub(crate) fn build_tries(
     tries
 }
 
+/// Where one pipeline's results go.
+pub(crate) enum PipelineTarget<'a> {
+    /// The final pipeline: the query's head and aggregate shape the output.
+    Output(&'a ConjunctiveQuery),
+    /// A non-final pipeline of a bushy plan: a materialized intermediate
+    /// relation, its columns typed from the query's variables.
+    Intermediate(&'a HashMap<String, DataType>),
+}
+
 /// Run one compiled pipeline over its (possibly cache-shared) tries through
 /// [`execute_pipeline_parallel_cancellable`]: at one thread it walks the
 /// plan serially into a single sink; otherwise it runs the work-stealing
 /// scheduler — root cover ranges seed the task injector, oversized
 /// expansions anywhere in the plan re-split, and the per-task sinks merge in
-/// deterministic path-key order. Final pipelines produce the query output;
-/// non-final pipelines materialize an intermediate relation (bushy plans).
+/// deterministic path-key order.
 ///
 /// Trie-building counters (`tries_built`, `lazy_expansions`) are *not*
 /// recorded here: with cached tries shared across queries the attribution
 /// differs per caller, so each caller accounts for them itself.
 ///
-/// When `options.profile` is set, the merged per-node accumulators land in
-/// `profile` (otherwise it is left untouched — a disabled sheet stays
-/// disabled). When `options.trace` is set, the per-worker trace rings land
-/// in `traces`, sorted by worker id (otherwise nothing is appended).
-#[allow(clippy::too_many_arguments)]
+/// Besides the result, returns the merged per-node profile sheet (disabled
+/// unless `control.profile`) and the per-worker trace rings sorted by worker
+/// id (empty unless `control.trace`).
 pub(crate) fn join_pipeline(
     tries: &[Arc<InputTrie>],
     compiled: &CompiledPlan,
     options: &FreeJoinOptions,
-    query: &ConjunctiveQuery,
-    is_final: bool,
-    var_types: &HashMap<String, DataType>,
+    control: &ExecControl,
+    target: PipelineTarget<'_>,
     stats: &mut ExecStats,
-    profile: &mut ProfileSheet,
-    traces: &mut Vec<TraceBuf>,
-    token: &CancelToken,
-) -> EngineResult<PipelineResult> {
+) -> EngineResult<(PipelineResult, ProfileSheet, Vec<TraceBuf>)> {
     let threads = options.effective_threads();
     let join_start = Instant::now();
     // The per-task sinks come back in merge order. The first one absorbs the
     // rest, so a single sink (always the case at one thread) is the result
     // as is, without a copy into an empty sink.
-    let result = if is_final {
-        let builder =
-            OutputBuilder::try_new(&query.head, query.aggregate.clone(), &compiled.binding_order)
-                .map_err(EngineError::Query)?;
-        let make_sink = || OutputSink::new(builder.clone());
-        let (sinks, counters) = execute_pipeline_parallel_cancellable(
-            tries, compiled, options, threads, make_sink, token,
-        );
-        absorb_counters(stats, counters, profile, traces);
-        let merged = sinks.into_iter().reduce(|mut all, sink| {
-            all.merge(sink);
-            all
-        });
-        let merged = merged.unwrap_or_else(|| OutputSink::new(builder));
-        stats.result_chunks += merged.chunks_received();
-        PipelineResult::Output(merged.finish())
-    } else {
-        let (sinks, counters) = execute_pipeline_parallel_cancellable(
-            tries,
-            compiled,
-            options,
-            threads,
-            MaterializeSink::new,
-            token,
-        );
-        absorb_counters(stats, counters, profile, traces);
-        let merged = sinks.into_iter().reduce(|mut all, sink| {
-            all.merge(sink);
-            all
-        });
-        let merged = merged.unwrap_or_default();
-        stats.result_chunks += merged.chunks_received();
-        let rows = merged.into_rows();
-        let name = format!("__fj_intermediate_{}", compiled.binding_order.join("_"));
-        let bound = materialize_intermediate(&name, &compiled.binding_order, var_types, &rows)?;
-        PipelineResult::Intermediate(bound)
+    let (result, counters) = match target {
+        PipelineTarget::Output(query) => {
+            let builder = OutputBuilder::try_new(
+                &query.head,
+                query.aggregate.clone(),
+                &compiled.binding_order,
+            )
+            .map_err(EngineError::Query)?;
+            let make_sink = || OutputSink::new(builder.clone());
+            let (sinks, counters) = execute_pipeline_parallel_cancellable(
+                tries, compiled, options, threads, make_sink, control,
+            );
+            let merged = sinks.into_iter().reduce(|mut all, sink| {
+                all.merge(sink);
+                all
+            });
+            let merged = merged.unwrap_or_else(|| OutputSink::new(builder));
+            stats.result_chunks += merged.chunks_received();
+            (PipelineResult::Output(merged.finish()), counters)
+        }
+        PipelineTarget::Intermediate(var_types) => {
+            let (sinks, counters) = execute_pipeline_parallel_cancellable(
+                tries,
+                compiled,
+                options,
+                threads,
+                MaterializeSink::new,
+                control,
+            );
+            let merged = sinks.into_iter().reduce(|mut all, sink| {
+                all.merge(sink);
+                all
+            });
+            let merged = merged.unwrap_or_default();
+            stats.result_chunks += merged.chunks_received();
+            let rows = merged.into_rows();
+            let name = format!("__fj_intermediate_{}", compiled.binding_order.join("_"));
+            let bound = materialize_intermediate(&name, &compiled.binding_order, var_types, &rows)?;
+            (PipelineResult::Intermediate(bound), counters)
+        }
     };
     stats.join_time += join_start.elapsed();
-    Ok(result)
+    let (profile, traces) = absorb_counters(stats, counters);
+    Ok((result, profile, traces))
 }
 
 /// Fold one pipeline's execution counters into the query's stats record,
 /// including the scheduler counters (spawned / stolen / per-worker shares;
-/// all zero or empty on serial execution). The per-node profile (enabled
-/// only under `options.profile`) is merged into `profile`.
+/// all zero or empty on serial execution). Hands back the merged profile
+/// sheet and the trace rings, sorted by worker id.
 fn absorb_counters(
     stats: &mut ExecStats,
     mut counters: ExecCounters,
-    profile: &mut ProfileSheet,
-    traces: &mut Vec<TraceBuf>,
-) {
-    profile.merge(&counters.profile);
+) -> (ProfileSheet, Vec<TraceBuf>) {
     counters.traces.sort_by_key(|tb| tb.worker());
-    traces.append(&mut counters.traces);
     stats.probes += counters.probes;
     stats.probe_hits += counters.probe_hits;
     stats.tasks_spawned += counters.tasks_spawned;
@@ -333,6 +302,7 @@ fn absorb_counters(
     for (mine, theirs) in stats.worker_expansions.iter_mut().zip(&counters.worker_expansions) {
         *mine += theirs;
     }
+    (counters.profile, counters.traces)
 }
 
 /// What a pipeline produced.

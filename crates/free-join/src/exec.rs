@@ -101,6 +101,23 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Per-execution controls, shared by every worker of one execution: the
+/// cooperative cancel token, and whether each worker collects a per-node
+/// profile sheet and a trace ring. The default — disabled token, both
+/// instruments off — allocates nothing and costs one branch per check or
+/// emission site.
+#[derive(Debug, Clone, Default)]
+pub struct ExecControl {
+    /// Polled at task/morsel/flush boundaries; chunk flushes charge its
+    /// result-byte budget.
+    pub token: CancelToken,
+    /// Collect per-plan-node expansions, probes, output rows and coarse wall
+    /// time into [`ExecCounters::profile`].
+    pub profile: bool,
+    /// Record per-worker span rings into [`ExecCounters::traces`].
+    pub trace: bool,
+}
+
 /// Counters collected during the join phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecCounters {
@@ -128,11 +145,11 @@ pub struct ExecCounters {
     /// is identical at any thread count, steal schedule or batch size.
     pub reorders: u64,
     /// Per-plan-node profile accumulators; disabled (empty, no allocation)
-    /// unless `FreeJoinOptions::profile` is set.
+    /// unless [`ExecControl::profile`] is set.
     pub profile: ProfileSheet,
     /// Per-worker trace event rings (node/task spans, steal/split/reorder
     /// instants); empty — no allocation, emission sites reduce to a length
-    /// check — unless `FreeJoinOptions::trace` is set. One ring per worker
+    /// check — unless [`ExecControl::trace`] is set. One ring per worker
     /// that executed part of this pipeline.
     pub traces: Vec<TraceBuf>,
     /// Shared cooperative-cancellation token. Every worker clones the same
@@ -154,19 +171,15 @@ const CANCEL_POLL_PERIOD: u32 = 256;
 
 impl ExecCounters {
     /// Fresh counters for one worker (`worker` 0 on the serial path): armed
-    /// with the query's cancel token, and with an enabled profile sheet and
-    /// trace ring only when the options ask for them.
-    fn for_worker(
-        plan: &CompiledPlan,
-        options: &FreeJoinOptions,
-        token: &CancelToken,
-        worker: u32,
-    ) -> Self {
-        let mut counters = ExecCounters { cancel: token.clone(), ..ExecCounters::default() };
-        if options.profile {
+    /// with the execution's cancel token, and with an enabled profile sheet
+    /// and trace ring only when the control asks for them.
+    fn for_worker(plan: &CompiledPlan, control: &ExecControl, worker: u32) -> Self {
+        let mut counters =
+            ExecCounters { cancel: control.token.clone(), ..ExecCounters::default() };
+        if control.profile {
             counters.profile = ProfileSheet::enabled(plan.nodes.len());
         }
-        if options.trace {
+        if control.trace {
             counters.traces.push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, worker));
         }
         counters
@@ -285,27 +298,29 @@ pub fn execute_pipeline(
     options: &FreeJoinOptions,
     sink: &mut dyn Sink,
 ) -> ExecCounters {
-    execute_pipeline_cancellable(tries, plan, options, sink, &CancelToken::disabled())
+    execute_pipeline_cancellable(tries, plan, options, sink, &ExecControl::default())
 }
 
-/// [`execute_pipeline`] with cooperative cancellation: `token` is checked per
-/// cover entry (and at every node/flush boundary), and chunk-buffer flushes
-/// charge its result-byte budget. A fired token makes the remaining walk a
-/// cheap no-op; the caller detects the trip via [`CancelToken::fired`] (or
-/// the returned counters' `cancelled` field) and discards the partial sink.
+/// [`execute_pipeline`] under per-execution controls: `control.token` is
+/// checked per cover entry (and at every node/flush boundary), and
+/// chunk-buffer flushes charge its result-byte budget. A fired token makes
+/// the remaining walk a cheap no-op; the caller detects the trip via
+/// [`CancelToken::fired`] (or the returned counters' `cancelled` field) and
+/// discards the partial sink.
 pub fn execute_pipeline_cancellable(
     tries: &[Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
     sink: &mut dyn Sink,
-    token: &CancelToken,
+    control: &ExecControl,
 ) -> ExecCounters {
     debug_assert_eq!(tries.len(), plan.num_inputs);
-    let mut counters = ExecCounters::for_worker(plan, options, token, 0);
+    let mut counters = ExecCounters::for_worker(plan, control, 0);
     let mut tuple = vec![Value::Null; plan.binding_order.len()];
     let mut current: Vec<Arc<TrieNode>> = tries.iter().map(|t| t.root()).collect();
     let mut scratch: Vec<NodeScratch> = plan.nodes.iter().map(|_| NodeScratch::default()).collect();
-    let mut out = ChunkBuffer::for_sink_metered(sink, plan.binding_order.len(), token.clone());
+    let mut out =
+        ChunkBuffer::for_sink_metered(sink, plan.binding_order.len(), control.token.clone());
     let mut ctx = ExecCtx {
         tries,
         plan,
@@ -543,36 +558,31 @@ where
     S: Sink + Send,
     F: Fn() -> S + Sync,
 {
-    execute_pipeline_parallel_cancellable(
-        tries,
-        plan,
-        options,
-        num_threads,
-        make_sink,
-        &CancelToken::disabled(),
-    )
+    let control = ExecControl::default();
+    execute_pipeline_parallel_cancellable(tries, plan, options, num_threads, make_sink, &control)
 }
 
-/// [`execute_pipeline_parallel`] with cooperative cancellation. Workers check
-/// `token` at every task boundary and inside the recursive walk; once it
-/// fires they stop running tasks but keep draining their deques and the
-/// injector (each drained task is marked complete without executing), so the
-/// `pending == 0` exit condition is still reached and no worker spins.
+/// [`execute_pipeline_parallel`] under per-execution controls. Workers check
+/// `control.token` at every task boundary and inside the recursive walk;
+/// once it fires they stop running tasks but keep draining their deques and
+/// the injector (each drained task is marked complete without executing), so
+/// the `pending == 0` exit condition is still reached and no worker spins.
 pub fn execute_pipeline_parallel_cancellable<S, F>(
     tries: &[Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
     num_threads: usize,
     make_sink: F,
-    token: &CancelToken,
+    control: &ExecControl,
 ) -> (Vec<S>, ExecCounters)
 where
     S: Sink + Send,
     F: Fn() -> S + Sync,
 {
     debug_assert_eq!(tries.len(), plan.num_inputs);
+    let token = &control.token;
     let serial = |mut sink: S| {
-        let counters = execute_pipeline_cancellable(tries, plan, options, &mut sink, token);
+        let counters = execute_pipeline_cancellable(tries, plan, options, &mut sink, control);
         (vec![sink], counters)
     };
     if num_threads <= 1 || plan.nodes.is_empty() {
@@ -658,7 +668,7 @@ where
                 let mut current: Vec<Arc<TrieNode>> = roots.clone();
                 let mut scratch: Vec<NodeScratch> =
                     plan.nodes.iter().map(|_| NodeScratch::default()).collect();
-                let mut counters = ExecCounters::for_worker(plan, options, token, id as u32);
+                let mut counters = ExecCounters::for_worker(plan, control, id as u32);
                 loop {
                     let Some(task) = sched.find_task(id) else {
                         if sched.pending.load(Ordering::Acquire) == 0 {

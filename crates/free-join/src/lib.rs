@@ -79,7 +79,7 @@ pub use engine::FreeJoinEngine;
 pub use error::{EngineError, EngineResult};
 pub use exec::{
     execute_pipeline, execute_pipeline_cancellable, execute_pipeline_parallel,
-    execute_pipeline_parallel_cancellable, ExecCounters,
+    execute_pipeline_parallel_cancellable, ExecControl, ExecCounters,
 };
 pub use fj_obs::{
     NodeProfile, PipelineProfile, ProfileSheet, QueryProfile, QueryTrace, TraceBuf, TraceCat,
@@ -88,7 +88,9 @@ pub use fj_obs::{
 pub use fj_query::CancelReason;
 pub use options::{FreeJoinOptions, TrieStrategy};
 pub use prep::{prepare_inputs, BoundInput};
-pub use session::{EngineCaches, Params, Prepared, Session, SessionCacheStats};
+pub use session::{
+    EngineCaches, ExecReport, ExecRequest, Params, Prepared, Session, SessionCacheStats,
+};
 pub use sink::{ChunkBuffer, MaterializeSink, OutputSink, Sink};
 pub use trie::InputTrie;
 

@@ -1,4 +1,8 @@
-//! Execution options for the Free Join engine.
+//! Execution options for the Free Join engine: how plans are factored,
+//! tries built and probes run, fixed per engine or session. What one
+//! execution wants on top — a cancel token (deadline, byte budget), a
+//! per-node profile, a span trace — is not an option: it travels with that
+//! execution in a [`crate::session::ExecRequest`].
 
 use serde::{Deserialize, Serialize};
 
@@ -75,12 +79,6 @@ pub struct FreeJoinOptions {
     /// keeps task overhead negligible on uniform workloads while still
     /// breaking up skewed subtrees.
     pub split_threshold: usize,
-    /// Collect a per-plan-node profile (expansions, probes, output rows,
-    /// coarse wall time) during execution. Off by default: the disabled
-    /// state allocates nothing and adds only a branch per bump site to the
-    /// hot path. Enabled runs stay within a few percent of unprofiled wall
-    /// time (the bench suite's `profile_overhead_pct` column pins this).
-    pub profile: bool,
     /// Adaptive cardinality-guided execution: at every plan node with at
     /// least two remaining subatoms, pick the next subatom to expand by its
     /// O(1) construction-fixed trie bound ([`crate::trie::TrieNode::key_bound`])
@@ -94,27 +92,6 @@ pub struct FreeJoinOptions {
     /// default: probes then run in plan order, guarded by one precomputed
     /// per-node mask check.
     pub adaptive: bool,
-    /// Span tracing: record per-worker event rings (task/node spans, steal
-    /// and split instants, trie fetch/build spans) for assembly into a
-    /// `QueryTrace` with Chrome trace-event export. Off by default; the
-    /// disabled state allocates nothing and adds only a branch per emission
-    /// site, mirroring the `profile` gating discipline (the bench suite's
-    /// `trace_overhead_pct` column pins the off cost).
-    pub trace: bool,
-    /// Per-query deadline in milliseconds; `0` (the default) disables it.
-    /// When set, `Session`-level execution arms a [`crate::CancelToken`]
-    /// whose deadline elapses this long after execution starts, and the
-    /// executor's cooperative checks turn the trip into a typed
-    /// `QueryError::Cancelled { reason: Deadline, .. }`.
-    #[serde(default)]
-    pub deadline_ms: u64,
-    /// Result-buffer memory budget in bytes; `0` (the default) disables it.
-    /// Chunk-buffer flush accounting charges the cancel token, so a query
-    /// whose materialized output exceeds the budget degrades into a typed
-    /// `QueryError::Cancelled { reason: MemoryBudget, .. }` instead of an
-    /// unbounded allocation.
-    #[serde(default)]
-    pub max_result_bytes: u64,
 }
 
 impl Default for FreeJoinOptions {
@@ -129,11 +106,7 @@ impl Default for FreeJoinOptions {
             num_threads: 0,
             steal: true,
             split_threshold: 1024,
-            profile: false,
             adaptive: false,
-            trace: false,
-            deadline_ms: 0,
-            max_result_bytes: 0,
         }
     }
 }
@@ -153,11 +126,7 @@ impl FreeJoinOptions {
             num_threads: 1,
             steal: true,
             split_threshold: 1024,
-            profile: false,
             adaptive: false,
-            trace: false,
-            deadline_ms: 0,
-            max_result_bytes: 0,
         }
     }
 
@@ -206,51 +175,11 @@ impl FreeJoinOptions {
         self
     }
 
-    /// Builder-style setter for per-plan-node profiling.
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Builder-style setter for adaptive cardinality-guided execution
     /// (per-binding subatom reordering by deterministic trie bounds).
     pub fn with_adaptive(mut self, adaptive: bool) -> Self {
         self.adaptive = adaptive;
         self
-    }
-
-    /// Builder-style setter for span tracing (per-worker event rings
-    /// assembled into a `QueryTrace`).
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Builder-style setter for the per-query deadline (`0` = none).
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = deadline_ms;
-        self
-    }
-
-    /// Builder-style setter for the result-buffer byte budget (`0` = none).
-    pub fn with_max_result_bytes(mut self, max_result_bytes: u64) -> Self {
-        self.max_result_bytes = max_result_bytes;
-        self
-    }
-
-    /// The cancel token this configuration implies: disabled (zero-cost
-    /// checks) when neither `deadline_ms` nor `max_result_bytes` is set,
-    /// otherwise armed with a deadline `deadline_ms` from *now* and the
-    /// result-byte budget. Callers that already hold a query-level token
-    /// (the serve path) ignore this and arm their own.
-    pub fn cancel_token(&self) -> crate::cancel::CancelToken {
-        if self.deadline_ms == 0 && self.max_result_bytes == 0 {
-            return crate::cancel::CancelToken::disabled();
-        }
-        let deadline = (self.deadline_ms > 0).then(|| {
-            std::time::Instant::now() + std::time::Duration::from_millis(self.deadline_ms)
-        });
-        crate::cancel::CancelToken::with_limits(deadline, self.max_result_bytes)
     }
 
     /// The concrete number of worker threads this configuration runs with:
@@ -282,15 +211,14 @@ mod tests {
         assert!(o.effective_threads() >= 1);
         assert!(o.steal, "work stealing is on by default");
         assert_eq!(o.split_threshold, 1024);
-        assert!(!o.profile, "profiling is opt-in");
         assert!(!o.adaptive, "adaptive execution is opt-in");
         assert!(o.with_adaptive(true).adaptive);
-        assert!(!o.trace, "tracing is opt-in");
-        assert!(o.with_trace(true).trace);
-        assert_eq!(o.deadline_ms, 0, "no deadline by default");
-        assert_eq!(o.max_result_bytes, 0, "no memory budget by default");
-        assert_eq!(o.with_deadline_ms(250).deadline_ms, 250);
-        assert_eq!(o.with_max_result_bytes(1 << 20).max_result_bytes, 1 << 20);
+        // Profiling, tracing, deadlines and result budgets are chosen per
+        // execution, and the default request asks for none of them.
+        let request = crate::session::ExecRequest::default();
+        assert!(!request.profile, "profiling is opt-in");
+        assert!(!request.trace, "tracing is opt-in");
+        assert!(request.token.is_disabled(), "no deadline or memory budget by default");
     }
 
     #[test]

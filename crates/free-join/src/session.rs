@@ -14,7 +14,7 @@
 //!   a shape runs the optimizer and plan compiler. A cache hit re-checks
 //!   the full canonical form, so a fingerprint collision degrades to an
 //!   uncached compile instead of executing the wrong plan.
-//! * **Trie building** — [`Prepared::execute`] resolves each pipeline input
+//! * **Trie building** — [`Prepared::run`] resolves each pipeline input
 //!   to a [`fj_cache::TrieKey`] `(relation, version, strategy, column
 //!   key-order, filter fingerprint)` and fetches the trie from a shared
 //!   [`fj_cache::TrieCache`]. PR 1 made tries `Arc`/`OnceLock`-based and
@@ -58,8 +58,9 @@
 
 use crate::cancel::CancelToken;
 use crate::compile::{compile_query, CompiledQuery};
-use crate::engine::{cancelled, join_pipeline, PipelineResult};
+use crate::engine::{join_pipeline, PipelineResult, PipelineTarget};
 use crate::error::{EngineError, EngineResult};
+use crate::exec::ExecControl;
 use crate::options::{FreeJoinOptions, TrieStrategy};
 use crate::prep::{bind_atom, record_var_types, BoundInput};
 use crate::trie::InputTrie;
@@ -71,7 +72,9 @@ use fj_obs::{
 use fj_plan::{
     optimize, CardinalityEstimator, CatalogStats, OptimizerOptions, PipeInput, SubPlanInfo,
 };
-use fj_query::{Aggregate, Atom, ConjunctiveQuery, ExecStats, QueryOutput};
+use fj_query::{
+    Aggregate, Atom, CancelReason, ConjunctiveQuery, ExecStats, QueryError, QueryOutput,
+};
 use fj_storage::{Catalog, DataType, Predicate};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -209,7 +212,7 @@ impl EngineCaches {
     }
 
     /// Fold one execution's scheduler counters into the process totals
-    /// (called by [`Prepared::execute_with`] after every execution).
+    /// (called by [`Prepared::run`] after every execution).
     pub fn record_sched(&self, tasks_spawned: u64, tasks_stolen: u64) {
         if tasks_spawned > 0 {
             self.sched_spawned.fetch_add(tasks_spawned, Ordering::Relaxed);
@@ -377,15 +380,17 @@ impl Session {
     /// `EXPLAIN ANALYZE`: execute the query with profiling on and render the
     /// plan tree annotated with the optimizer's estimated rows next to the
     /// actuals the executor measured, plus per-node probe hit rates and
-    /// coarse times. Returns the rendered report; use
-    /// [`Prepared::execute_profiled`] for the structured [`QueryProfile`].
+    /// coarse times. Returns the rendered report; use [`Prepared::run`] with
+    /// `profile` on for the structured [`QueryProfile`].
     pub fn explain_analyze(
         &self,
         catalog: &Catalog,
         query: &ConjunctiveQuery,
     ) -> EngineResult<String> {
         let prepared = self.prepare(catalog, query)?;
-        let (output, stats, profile) = prepared.execute_profiled(catalog, &Params::new())?;
+        let request = ExecRequest { profile: true, ..ExecRequest::default() };
+        let ExecReport { output, stats, profile, .. } = prepared.run(catalog, &request)?;
+        let profile = profile.unwrap_or_default();
         let mut out = String::new();
         let _ = writeln!(out, "EXPLAIN ANALYZE {}", query.name);
         out.push_str(&profile.render());
@@ -405,7 +410,7 @@ impl Session {
     }
 
     /// Prepare and execute with span tracing on, returning the assembled
-    /// [`QueryTrace`]. On top of [`Prepared::execute_traced`], the trace
+    /// [`QueryTrace`]. On top of a traced [`Prepared::run`], the trace
     /// carries a plan-cache hit/miss instant for the prepare step (read from
     /// the shared cache's counter delta — best-effort under concurrent
     /// sessions, exact when this session is the only preparer).
@@ -418,7 +423,9 @@ impl Session {
         let misses0 = self.caches.plans.stats().misses;
         let prepared = self.prepare(catalog, query)?;
         let missed = self.caches.plans.stats().misses > misses0;
-        let (output, stats, mut trace) = prepared.execute_traced(catalog, &Params::new())?;
+        let request = ExecRequest { trace: true, ..ExecRequest::default() };
+        let ExecReport { output, stats, trace, .. } = prepared.run(catalog, &request)?;
+        let mut trace = trace.unwrap_or_default();
         // Attached after the executor's session ring so the span tree still
         // starts from the query span (`span_tree` reads the first
         // session-worker ring).
@@ -459,6 +466,36 @@ impl Params {
     }
 }
 
+/// One execution of a [`Prepared`] query: its runtime parameters plus the
+/// per-execution controls. The default — no overrides, a disabled token,
+/// no profile, no trace — is the zero-overhead path.
+#[derive(Debug, Clone, Default)]
+pub struct ExecRequest {
+    /// Per-atom selection overrides.
+    pub params: Params,
+    /// Cooperative cancellation: an explicit cancel, a deadline, or a
+    /// result-byte budget (see [`CancelToken`]). Disabled by default.
+    pub token: CancelToken,
+    /// Collect the per-plan-node profile behind `EXPLAIN ANALYZE` and the
+    /// server's slow-query log.
+    pub profile: bool,
+    /// Record span-trace rings.
+    pub trace: bool,
+}
+
+/// What one [`Prepared::run`] produced.
+#[derive(Debug)]
+pub struct ExecReport {
+    /// The query result.
+    pub output: QueryOutput,
+    /// Execution counters and phase timings.
+    pub stats: ExecStats,
+    /// The per-node profile, when the request asked for one.
+    pub profile: Option<QueryProfile>,
+    /// The assembled span trace, when the request asked for one.
+    pub trace: Option<QueryTrace>,
+}
+
 /// A prepared query: the compiled plan bundle plus everything needed to
 /// execute it repeatedly against current data through the shared caches.
 #[derive(Debug, Clone)]
@@ -494,12 +531,10 @@ impl Prepared {
         self.plan.compiled.pipelines.len()
     }
 
-    /// Execute against the current catalog contents. Tries are fetched from
-    /// the shared cache keyed by each relation's *current* version, so a
-    /// catalog mutation after `prepare` transparently forces a rebuild —
-    /// results always reflect current data.
+    /// Execute against the current catalog contents with no overrides and no
+    /// instruments: [`Prepared::run`] with the default [`ExecRequest`].
     pub fn execute(&self, catalog: &Catalog) -> EngineResult<(QueryOutput, ExecStats)> {
-        self.execute_with(catalog, &Params::new())
+        self.run(catalog, &ExecRequest::default()).map(|r| (r.output, r.stats))
     }
 
     /// Execute with per-atom filter overrides (see [`Params`]).
@@ -508,121 +543,68 @@ impl Prepared {
         catalog: &Catalog,
         params: &Params,
     ) -> EngineResult<(QueryOutput, ExecStats)> {
-        self.execute_inner(catalog, params, &self.options, None, None, &CancelToken::disabled())
+        self.run(catalog, &ExecRequest { params: params.clone(), ..ExecRequest::default() })
+            .map(|r| (r.output, r.stats))
     }
 
-    /// Execute under an externally controlled [`CancelToken`]: the serving
-    /// path's entry point. The token is polled at every task/morsel/flush
-    /// boundary inside the executor and at pipeline boundaries here; once it
-    /// fires, the execution unwinds cooperatively and returns
-    /// [`fj_query::QueryError::Cancelled`] with the partial stats gathered so
-    /// far. Passing a disabled token falls back to the deadline/budget
-    /// configured in the session options (if any), making this a strict
-    /// superset of [`Prepared::execute_with`].
-    pub fn execute_cancellable(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-        token: &CancelToken,
-    ) -> EngineResult<(QueryOutput, ExecStats)> {
-        self.execute_inner(catalog, params, &self.options, None, None, token)
-    }
-
-    /// Execute with profiling forced on, returning the per-node
-    /// [`QueryProfile`] (actuals paired with the optimizer's prepare-time
-    /// estimates) alongside the usual output and stats. This is the engine
-    /// half of `EXPLAIN ANALYZE` and of the server's slow-query log.
+    /// Execute with profiling on, returning the per-node [`QueryProfile`]
+    /// alongside the usual output and stats.
     pub fn execute_profiled(
         &self,
         catalog: &Catalog,
         params: &Params,
     ) -> EngineResult<(QueryOutput, ExecStats, QueryProfile)> {
-        let options = self.options.with_profile(true);
-        let mut sheets = Vec::with_capacity(self.plan.compiled.pipelines.len());
-        let (output, stats) = self.execute_inner(
+        self.run(
             catalog,
-            params,
-            &options,
-            Some(&mut sheets),
-            None,
-            &CancelToken::disabled(),
-        )?;
-        let profile = self.assemble_profile(&sheets);
-        // This run has per-node actuals: count the nodes that bust their
-        // prepare-time estimate (the same predicate behind the rendered `!`
-        // markers, so the counter reconciles with EXPLAIN ANALYZE output).
-        self.caches.record_exec(0, profile.estimate_busts());
-        Ok((output, stats, profile))
+            &ExecRequest { params: params.clone(), profile: true, ..ExecRequest::default() },
+        )
+        .map(|r| (r.output, r.stats, r.profile.unwrap_or_default()))
     }
 
-    /// Execute with span tracing forced on, returning the assembled
-    /// [`QueryTrace`] — the session's structural ring (query → pipelines →
+    /// Execute once against the current catalog contents — the one
+    /// execution path. Tries are fetched from the shared cache keyed by each
+    /// relation's *current* version, so a catalog mutation after `prepare`
+    /// transparently forces a rebuild: results always reflect current data.
+    ///
+    /// The request's token is polled at every task/morsel/flush boundary
+    /// inside the executor and at pipeline boundaries here; once it fires,
+    /// the execution unwinds cooperatively and returns
+    /// [`fj_query::QueryError::Cancelled`] with the partial stats gathered so
+    /// far. With `profile` on, the report carries the per-node
+    /// [`QueryProfile`] (actuals paired with the optimizer's prepare-time
+    /// estimates), and the nodes that bust their estimate are counted in the
+    /// shared caches' totals. With `trace` on, it carries the assembled
+    /// [`QueryTrace`]: the session's structural ring (query → pipelines →
     /// trie fetch/build) plus one executor ring per worker, each tagged with
-    /// its pipeline — alongside the usual output and stats. Render with
-    /// [`QueryTrace::span_tree`] (canonical, schedule-independent) or
-    /// [`QueryTrace::to_chrome_json`] (full timeline for Perfetto).
-    pub fn execute_traced(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-    ) -> EngineResult<(QueryOutput, ExecStats, QueryTrace)> {
-        self.execute_traced_cancellable(catalog, params, &CancelToken::disabled())
-    }
-
-    /// [`Prepared::execute_traced`] under an externally controlled
-    /// [`CancelToken`] — the serving path's traced entry point, so
-    /// per-request deadlines apply to traced executions too.
-    pub fn execute_traced_cancellable(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-        token: &CancelToken,
-    ) -> EngineResult<(QueryOutput, ExecStats, QueryTrace)> {
-        let options = self.options.with_trace(true);
-        let mut trace = QueryTrace::new();
-        let (output, stats) =
-            self.execute_inner(catalog, params, &options, None, Some(&mut trace), token)?;
-        Ok((output, stats, trace))
-    }
-
-    /// The shared execution path. When `sheets` is `Some`, one merged
-    /// [`ProfileSheet`] per pipeline is pushed into it (in pipeline order);
-    /// when `None`, a disabled sheet is threaded through instead, which
-    /// allocates nothing — the `profile: false` serving path pays only a
-    /// branch per instrumentation site. `trace` follows the same discipline:
-    /// `None` (with `options.trace` unset) costs one branch per emission
-    /// site and never allocates; `Some` collects the session ring and every
-    /// per-worker executor ring into the given [`QueryTrace`].
-    fn execute_inner(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-        options: &FreeJoinOptions,
-        mut sheets: Option<&mut Vec<ProfileSheet>>,
-        mut trace: Option<&mut QueryTrace>,
-        token: &CancelToken,
-    ) -> EngineResult<(QueryOutput, ExecStats)> {
-        // An explicit caller token wins; otherwise arm one from the options'
-        // deadline/budget (disabled when neither is configured, costing one
-        // branch per check site).
-        let token = if token.is_disabled() { options.cancel_token() } else { token.clone() };
-        let query = self.query_with(params)?;
+    /// its pipeline. Render it with [`QueryTrace::span_tree`] (canonical,
+    /// schedule-independent) or [`QueryTrace::to_chrome_json`]. Instruments
+    /// that are off allocate nothing and cost one branch per site.
+    pub fn run(&self, catalog: &Catalog, request: &ExecRequest) -> EngineResult<ExecReport> {
+        let query = self.query_with(&request.params)?;
         let query = query.as_ref();
         // Re-validate against the *current* catalog: relations may have been
         // replaced (even with a different schema) since prepare, and the
         // serving path must surface that as a typed error, never a panic.
         query.validate(catalog).map_err(EngineError::Query)?;
         let compiled = &self.plan.compiled;
+        let control = ExecControl {
+            token: request.token.clone(),
+            profile: request.profile,
+            trace: request.trace,
+        };
+        let token = &control.token;
         let mut stats = ExecStats::default();
         let var_types = var_types(catalog, &query.atoms)?;
+        let mut sheets = Vec::new();
+        let mut trace = request.trace.then(QueryTrace::new);
 
         // The session's structural ring: query/pipeline spans and trie
         // fetch/build events — the schedule-independent skeleton the
         // canonical span tree renders. Only exists when tracing.
-        let mut session_buf = trace
-            .is_some()
+        let mut session_buf = request
+            .trace
             .then(|| TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, SESSION_WORKER));
-        let evictions0 = trace.is_some().then(|| self.caches.tries.stats().evictions);
+        let evictions0 = request.trace.then(|| self.caches.tries.stats().evictions);
         if let Some(tb) = session_buf.as_mut() {
             tb.begin(TraceCat::Query, 0, 0, &[]);
         }
@@ -691,25 +673,17 @@ impl Prepared {
                 }
             }
 
-            let is_final = p == compiled.root_pipeline();
-            let mut sheet = ProfileSheet::disabled();
-            let mut pipe_traces: Vec<TraceBuf> = Vec::new();
-            let result = join_pipeline(
-                &tries,
-                &pipeline.plan,
-                options,
-                query,
-                is_final,
-                &var_types,
-                &mut stats,
-                &mut sheet,
-                &mut pipe_traces,
-                &token,
-            )?;
-            if let Some(sheets) = sheets.as_deref_mut() {
+            let target = if p == compiled.root_pipeline() {
+                PipelineTarget::Output(query)
+            } else {
+                PipelineTarget::Intermediate(&var_types)
+            };
+            let (result, sheet, pipe_traces) =
+                join_pipeline(&tries, &pipeline.plan, &self.options, &control, target, &mut stats)?;
+            if request.profile {
                 sheets.push(sheet);
             }
-            if let Some(qt) = trace.as_deref_mut() {
+            if let Some(qt) = trace.as_mut() {
                 for mut tb in pipe_traces {
                     tb.set_pipeline(p as u32);
                     qt.attach(tb);
@@ -754,12 +728,18 @@ impl Prepared {
             }
             tb.end(TraceCat::Query, 0, output.cardinality());
         }
-        if let (Some(qt), Some(tb)) = (trace, session_buf) {
+        if let (Some(qt), Some(tb)) = (trace.as_mut(), session_buf) {
             qt.attach(tb);
         }
+        // Only a profiled run has per-node actuals: count the nodes that
+        // bust their prepare-time estimate (the same predicate behind the
+        // rendered `!` markers, so the counter reconciles with EXPLAIN
+        // ANALYZE output).
+        let profile = request.profile.then(|| self.assemble_profile(&sheets));
+        let busts = profile.as_ref().map_or(0, QueryProfile::estimate_busts);
         self.caches.record_sched(stats.tasks_spawned, stats.tasks_stolen);
-        self.caches.record_exec(stats.reorders, 0);
-        Ok((output, stats))
+        self.caches.record_exec(stats.reorders, busts);
+        Ok(ExecReport { output, stats, profile, trace })
     }
 
     /// Pair each pipeline's merged [`ProfileSheet`] with the prepare-time
@@ -849,6 +829,12 @@ impl Prepared {
         stats.build_time += build_time;
         Ok((trie, built_here))
     }
+}
+
+/// The typed error for a cooperatively cancelled execution, carrying the
+/// stats accumulated up to the trip.
+fn cancelled(reason: CancelReason, stats: &ExecStats) -> EngineError {
+    EngineError::Query(QueryError::Cancelled { reason, partial_stats: Box::new(stats.clone()) })
 }
 
 /// The cache key of one atom's trie: current relation version, strategy
@@ -1229,6 +1215,21 @@ mod tests {
         let (plain, plain_stats) = prepared.execute(&cat).unwrap();
         assert!(plain.result_eq(&out));
         assert_eq!(plain_stats.probes, stats.probes);
+        // Every instrument at once — profile, trace and a live far-future
+        // token — changes neither the answer nor the counters.
+        let request = ExecRequest {
+            token: CancelToken::with_deadline(Duration::from_secs(3600)),
+            profile: true,
+            trace: true,
+            ..ExecRequest::default()
+        };
+        let all = prepared.run(&cat, &request).unwrap();
+        assert!(all.output.result_eq(&plain));
+        assert_eq!(all.stats.probes, plain_stats.probes);
+        let profile = all.profile.expect("profiled runs carry a profile");
+        assert_eq!(profile.total_probes(), all.stats.probes);
+        let tree = all.trace.expect("traced runs carry a trace").span_tree();
+        assert!(tree.starts_with("query"), "{tree}");
     }
 
     #[test]
@@ -1261,7 +1262,7 @@ mod tests {
         // Pre-fired explicit cancel: trips at the first boundary.
         let token = CancelToken::new();
         token.cancel(CancelReason::Explicit);
-        match prepared.execute_cancellable(&cat, &Params::new(), &token) {
+        match prepared.run(&cat, &ExecRequest { token, ..ExecRequest::default() }) {
             Err(EngineError::Query(QueryError::Cancelled { reason, .. })) => {
                 assert_eq!(reason, CancelReason::Explicit)
             }
@@ -1270,7 +1271,7 @@ mod tests {
 
         // Already-expired deadline: trips as Deadline.
         let token = CancelToken::with_limits(Some(Instant::now()), 0);
-        match prepared.execute_cancellable(&cat, &Params::new(), &token) {
+        match prepared.run(&cat, &ExecRequest { token, ..ExecRequest::default() }) {
             Err(EngineError::Query(QueryError::Cancelled { reason, .. })) => {
                 assert_eq!(reason, CancelReason::Deadline)
             }
@@ -1285,7 +1286,7 @@ mod tests {
             .build();
         let p = s.prepare(&cat, &q).unwrap();
         let token = CancelToken::with_limits(None, 1);
-        match p.execute_cancellable(&cat, &Params::new(), &token) {
+        match p.run(&cat, &ExecRequest { token, ..ExecRequest::default() }) {
             Err(EngineError::Query(QueryError::Cancelled { reason, partial_stats })) => {
                 assert_eq!(reason, CancelReason::MemoryBudget);
                 assert!(partial_stats.probes > 0, "partial stats reflect work done");

@@ -40,8 +40,10 @@ fn main() {
     let mut failures = Vec::new();
     let mut chosen = None;
     for attempt in 1..=50 {
-        let (out, stats, trace) =
-            prepared.execute_traced(&workload.catalog, &Params::new()).unwrap();
+        let request = ExecRequest { trace: true, ..ExecRequest::default() };
+        let report = prepared.run(&workload.catalog, &request).unwrap();
+        let (out, stats) = (report.output, report.stats);
+        let trace = report.trace.expect("traced runs carry a trace");
 
         // Exact reconciliation is only defined on drop-free traces: ring
         // overflow discards the oldest events, and whether a skewed

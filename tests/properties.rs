@@ -235,7 +235,8 @@ proptest! {
                         CancelToken::with_limits(None, 1),
                     ];
                     for token in &doomed {
-                        match prepared.execute_cancellable(&catalog, &Params::new(), token) {
+                        let request = ExecRequest { token: token.clone(), ..ExecRequest::default() };
+                        match prepared.run(&catalog, &request).map(|r| (r.output, r.stats)) {
                             Err(EngineError::Query(QueryError::Cancelled { .. })) => {}
                             // An empty join can finish before the first
                             // cooperative check; completing with the right

@@ -10,6 +10,7 @@
 
 use freejoin::obs::{TraceCat, TraceKind};
 use freejoin::prelude::*;
+use freejoin::query::ExecStats;
 use freejoin::workloads::micro;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,6 +50,13 @@ fn gate() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// One traced execution through `Prepared::run`: output, stats and trace.
+fn traced(prepared: &Prepared, catalog: &Catalog) -> (QueryOutput, ExecStats, QueryTrace) {
+    let request = ExecRequest { trace: true, ..ExecRequest::default() };
+    let report = prepared.run(catalog, &request).unwrap();
+    (report.output, report.stats, report.trace.expect("traced runs carry a trace"))
+}
+
 /// A session over a FRESH cache pair with the given execution options —
 /// fresh so trie-fetch outcomes (built vs hit) are identical run to run,
 /// which the span-tree determinism contract depends on.
@@ -76,7 +84,7 @@ fn span_tree_is_identical_across_thread_counts_and_steal_schedules() {
         for steal in [true, false] {
             let session = fresh_session(threads, steal);
             let prepared = session.prepare(&w.catalog, &named.query).unwrap();
-            let (out, _, trace) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
+            let (out, _, trace) = traced(&prepared, &w.catalog);
             assert!(out.cardinality() > 0);
             trace.validate_nesting().unwrap_or_else(|e| {
                 panic!("unbalanced rings at {threads} threads, steal {steal}: {e}")
@@ -114,8 +122,8 @@ fn warm_span_tree_reports_cache_hits_deterministically() {
     for threads in [1usize, 4] {
         let session = fresh_session(threads, true);
         let prepared = session.prepare(&w.catalog, &named.query).unwrap();
-        let (_, _, cold) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
-        let (_, _, warm) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
+        let (_, _, cold) = traced(&prepared, &w.catalog);
+        let (_, _, warm) = traced(&prepared, &w.catalog);
         assert!(cold.span_tree().contains("built"), "{}", cold.span_tree());
         assert!(warm.span_tree().contains("hit"), "{}", warm.span_tree());
         assert!(!warm.span_tree().contains("built"), "{}", warm.span_tree());
@@ -140,7 +148,7 @@ fn task_spans_and_steal_instants_reconcile_with_exec_stats() {
 
     let mut saw_steal = false;
     for _ in 0..50 {
-        let (_, stats, trace) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
+        let (_, stats, trace) = traced(&prepared, &w.catalog);
         if trace.dropped_events() > 0 {
             // Ring overflow dropped the oldest events; exact reconciliation
             // is only defined on drop-free traces. Schedule-dependent, so
@@ -178,7 +186,7 @@ fn chrome_export_has_the_expected_shape() {
     let named = &w.queries[0];
     let session = fresh_session(4, true);
     let prepared = session.prepare(&w.catalog, &named.query).unwrap();
-    let (_, _, trace) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
+    let (_, _, trace) = traced(&prepared, &w.catalog);
 
     let json = trace.to_chrome_json();
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'), "{json}");
@@ -215,7 +223,7 @@ fn disabled_tracing_is_allocation_free() {
     assert_eq!(plain_a, plain_b, "warm untraced executions allocate identically run to run");
 
     let before = allocations();
-    let (out, _, trace) = prepared.execute_traced(&workload.catalog, &Params::new()).unwrap();
+    let (out, _, trace) = traced(&prepared, &workload.catalog);
     let traced = allocations() - before;
     assert_eq!(out.cardinality(), expected);
     assert!(trace.total_events() > 0);
